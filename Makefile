@@ -73,7 +73,7 @@ bench:
 # runs warm, so the guarded number reflects the steady state the
 # ns/instr claims are about rather than first-touch allocation.
 BENCH_GUARD = $(GO) test -run NONE -bench 'BenchmarkHotPath(SVD|FRD)Step(Threads|Witness|Zipf)?$$' -benchtime 8000000x -count 3 -benchmem .
-BENCH_GUARD_WIRE = $(GO) test -run NONE -bench 'BenchmarkWire(Encode|Decode|DecodeColumns)$$' -benchtime 200x -count 3 -benchmem .
+BENCH_GUARD_WIRE = $(GO) test -run NONE -bench 'BenchmarkWire(Encode|DecodeColumns)$$' -benchtime 200x -count 3 -benchmem .
 BENCH_GUARD_INGEST = $(GO) test -run NONE -bench 'BenchmarkServerIngest$$' -benchtime 5x -count 3 -benchmem .
 # The steady group runs TWICE: Journaled and Telemetry are bounded
 # RELATIVE to Steady, the guard compares per-benchmark minima, and with
@@ -113,10 +113,8 @@ hotpath:
 	$(GO) run ./cmd/svdbench -hotpath -scale 2 -json BENCH_hotpath.json
 
 # Short-budget fuzz of the wire decoder: untrusted bytes must map to the
-# protocol's error taxonomy, never a panic. The committed corpus seeds
-# truncations, bad magic, version skew, and length abuse. go test fuzzes
-# one target per invocation, so the row and columnar decoders each run
-# with their own $(FUZZ_TIME) budget.
+# protocol's error taxonomy, never a panic. The seed corpus covers
+# truncations, bad magic, version skew, length abuse, and the cluster
+# frames.
 fuzz-smoke:
-	$(GO) test -run NONE -fuzz 'FuzzDeframe$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run NONE -fuzz 'FuzzDeframeColumns$$' -fuzztime $(FUZZ_TIME) ./internal/wire/

@@ -120,13 +120,13 @@ func BenchmarkOverheadBare(b *testing.B) { benchOverhead(b, nil) }
 
 func BenchmarkOverheadSVD(b *testing.B) {
 	benchOverhead(b, func(w *workloads.Workload, m *vm.VM) {
-		m.AttachBatch(svd.New(w.Prog, w.NumThreads, svd.Options{}))
+		m.AttachColumns(svd.New(w.Prog, w.NumThreads, svd.Options{}))
 	})
 }
 
 func BenchmarkOverheadFRD(b *testing.B) {
 	benchOverhead(b, func(w *workloads.Workload, m *vm.VM) {
-		m.AttachBatch(frd.New(w.Prog, w.NumThreads, frd.Options{}))
+		m.AttachColumns(frd.New(w.Prog, w.NumThreads, frd.Options{}))
 	})
 }
 
@@ -500,29 +500,6 @@ func BenchmarkHotPathFRDStep(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathSVDStepBatch measures the same stream consumed through
-// StepBatch in default-ring-size chunks — the amortized-dispatch path the
-// VM drives in production. ns/op stays per event.
-func BenchmarkHotPathSVDStepBatch(b *testing.B) {
-	w := workloads.PgSQLOLTP(workloads.PgSQLConfig{Warehouses: 4, Terminals: 4, Txns: 64, Seed: 1})
-	evs := recordEvents(b, w, 1<<22)
-	det := svd.New(w.Prog, w.NumThreads, svd.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; {
-		lo := n % len(evs)
-		hi := lo + vm.DefaultBatchCap
-		if hi > len(evs) {
-			hi = len(evs)
-		}
-		if hi-lo > b.N-n {
-			hi = lo + (b.N - n)
-		}
-		det.StepBatch(evs[lo:hi])
-		n += hi - lo
-	}
-}
-
 // benchStepThreads measures per-instruction detector cost as the thread
 // count grows, with per-thread work held constant. The full fan-out is
 // O(threads) per memory instruction; the interest index should keep the
@@ -612,7 +589,7 @@ func BenchmarkHotPathSVDSample(b *testing.B) {
 			b.Fatal(err)
 		}
 		det := svd.New(w.Prog, w.NumThreads, svd.Options{})
-		m.AttachBatch(det)
+		m.AttachColumns(det)
 		n, err := m.Run(1 << 26)
 		if err != nil {
 			b.Fatal(err)

@@ -42,6 +42,10 @@
 // loosens a max_ns, and the check compares against the same per-run
 // minimum the drift check uses.
 //
+// Every baseline entry must be measured: an entry the run did not report
+// (a deleted or renamed benchmark, a guard regex that stopped matching)
+// fails the guard by name, for the same reason.
+//
 // An entry may also carry {"over": "BenchmarkOther", "ratio": R}: a
 // relative bound requiring this benchmark's ns/op to stay within R of
 // the named benchmark's measured ns/op in the SAME run (got <= other ×
@@ -249,10 +253,29 @@ func main() {
 		fmt.Printf("benchguard: %-48s %10.2f ns/op vs %10.2f baseline  %+6.1f%% (tol %2.0f%%)  %s%s%s%s\n",
 			name, got.NS, base.NS, ratio*100, tol*100, status, allocNote, maxNote, overNote)
 	}
+	for _, name := range unmeasured(baseline, measured) {
+		fmt.Printf("benchguard: %-48s NOT MEASURED (baseline entry this run did not report; rename or delete it)\n", name)
+		failed = true
+	}
 	if failed {
-		fmt.Fprintf(os.Stderr, "benchguard: hot path regressed beyond tolerance over %s\n", *baselinePath)
+		fmt.Fprintf(os.Stderr, "benchguard: guard failed against %s (see the REGRESSION, UNCHECKED and NOT MEASURED lines)\n", *baselinePath)
 		os.Exit(1)
 	}
+}
+
+// unmeasured lists, sorted, the baseline entries the run did not
+// measure. Each is a bound nobody checks — typically a benchmark that
+// was deleted or renamed while its entry stayed behind — so the guard
+// fails on it rather than skipping it.
+func unmeasured(baseline map[string]entry, measured map[string]measurement) []string {
+	var out []string
+	for name := range baseline {
+		if _, ok := measured[name]; !ok && name != calibrationKey {
+			out = append(out, name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // calibrationKey is the reserved baseline entry holding the recording

@@ -302,3 +302,29 @@ func TestCheckMaxNSCalNSReference(t *testing.T) {
 		t.Errorf("cal_ns lost in round trip: %+v", out["pinned"])
 	}
 }
+
+// TestUnmeasuredEntriesFail: a baseline entry the run did not measure is
+// reported by name (the calibration key excepted), so a deleted
+// benchmark cannot leave an unchecked bound behind.
+func TestUnmeasuredEntriesFail(t *testing.T) {
+	baseline := map[string]entry{
+		"BenchmarkKept":     {NS: 10},
+		"BenchmarkOrphan":   {NS: 20},
+		"BenchmarkAnOrphan": {NS: 30},
+		calibrationKey:      {NS: 9.5},
+	}
+	measured := map[string]measurement{
+		"BenchmarkKept": {NS: 10},
+		"BenchmarkNew":  {NS: 5}, // no baseline: skipped, not a failure
+	}
+	got := unmeasured(baseline, measured)
+	want := []string{"BenchmarkAnOrphan", "BenchmarkOrphan"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("unmeasured = %v, want %v", got, want)
+	}
+	measured["BenchmarkOrphan"] = measurement{NS: 20}
+	measured["BenchmarkAnOrphan"] = measurement{NS: 30}
+	if got := unmeasured(baseline, measured); len(got) != 0 {
+		t.Fatalf("fully measured run reported %v", got)
+	}
+}

@@ -72,7 +72,8 @@ func run(workload, srcPath string, seed uint64, scale, cpus int, maxSteps uint64
 	}
 	prog := m.Program()
 	det := frd.New(prog, m.NumCPUs(), opts)
-	m.AttachBatch(det)
+	m.SetColumnBlockShift(opts.BlockShift)
+	m.AttachColumns(det)
 
 	var rec *trace.Recorder
 	if wantFrontier {

@@ -92,7 +92,8 @@ func run(workload, srcPath string, seed uint64, scale, cpus int, maxSteps uint64
 	}
 	prog := m.Program()
 	det := svd.New(prog, m.NumCPUs(), opts)
-	m.AttachBatch(det)
+	m.SetColumnBlockShift(opts.BlockShift)
+	m.AttachColumns(det)
 	if _, err := m.Run(maxSteps); err != nil {
 		fmt.Printf("execution faulted: %v\n", err)
 	} else if !m.Done() {

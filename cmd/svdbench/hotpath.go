@@ -81,7 +81,7 @@ func measureSVDAllocs(w *workloads.Workload, seed uint64) float64 {
 		fatal(err)
 	}
 	det := svd.New(w.Prog, w.NumThreads, svd.Options{})
-	m.AttachBatch(det)
+	m.AttachColumns(det)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

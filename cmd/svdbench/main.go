@@ -197,8 +197,8 @@ func runBaselines(scale int, seed uint64) {
 		fd := frd.New(w.Prog, w.NumThreads, frd.Options{})
 		ld := lockset.New(w.NumThreads, lockset.Options{})
 		td := stale.New(w.NumThreads, stale.Options{})
-		m.AttachBatch(sd)
-		m.AttachBatch(fd)
+		m.AttachColumns(sd)
+		m.AttachColumns(fd)
 		m.Attach(ld)
 		m.Attach(td)
 		if _, err := m.Run(1 << 26); err != nil {
@@ -320,9 +320,9 @@ func timeRun(w *workloads.Workload, seed uint64, det string) float64 {
 	}
 	switch det {
 	case "svd":
-		m.AttachBatch(svd.New(w.Prog, w.NumThreads, svd.Options{}))
+		m.AttachColumns(svd.New(w.Prog, w.NumThreads, svd.Options{}))
 	case "frd":
-		m.AttachBatch(frd.New(w.Prog, w.NumThreads, frd.Options{}))
+		m.AttachColumns(frd.New(w.Prog, w.NumThreads, frd.Options{}))
 	}
 	start := time.Now()
 	n, err := m.Run(1 << 26)

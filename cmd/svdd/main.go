@@ -31,9 +31,11 @@
 // rotation, retention, and fsync cadence). Restarting over the same
 // directory recovers torn tails and keeps stream ids unique.
 //
-// SIGINT/SIGTERM starts a graceful drain: the listener closes, open
-// streams may finish until -drain-timeout expires, then the process
-// exits.
+// SIGINT/SIGTERM starts a graceful drain bounded by one -drain-timeout
+// deadline: the listener closes, open streams may finish until the
+// deadline, connections still open then are closed (so an idle client
+// cannot hold the daemon up), the engine drains in whatever time is
+// left, and the process exits.
 package main
 
 import (
@@ -220,14 +222,20 @@ func main() {
 		}()
 	}
 
-	// SIGINT/SIGTERM closes the listener; Serve returns once every
-	// session ends, then the engine drains.
+	// SIGINT/SIGTERM closes the listener and sets the one drain
+	// deadline. Serve returns once every session ends; at the deadline
+	// CloseConns ends the sessions still open, and the engine drains in
+	// whatever time is left.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	deadline := make(chan time.Time, 1)
 	go func() {
 		<-ctx.Done()
 		log.Info("signal received, draining", "timeout", drainTimeout.String())
+		end := time.Now().Add(*drainTimeout)
+		deadline <- end
 		ln.Close()
+		time.AfterFunc(time.Until(end), eng.CloseConns)
 	}()
 
 	serve := eng.Serve
@@ -237,7 +245,12 @@ func main() {
 	if err := serve(ln); err != nil {
 		log.Error("serve", "err", err)
 	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	end := time.Now().Add(*drainTimeout) // Serve failed without a signal
+	select {
+	case end = <-deadline:
+	default:
+	}
+	drainCtx, cancel := context.WithDeadline(context.Background(), end)
 	defer cancel()
 	if err := eng.Shutdown(drainCtx); err != nil {
 		log.Warn("drain cut short", "err", err)

@@ -7,7 +7,7 @@ import (
 )
 
 // StepColumns processes one columnar batch (vm.ColumnObserver),
-// bit-identical to StepBatch on the equivalent rows. The happens-before
+// bit-identical to per-event Step on the equivalent rows. The happens-before
 // detector only looks at memory operations, and the columnar form makes
 // the skip cheap: rows whose flags carry neither load nor store are
 // rejected on the flags column alone — one byte test, no program
@@ -39,9 +39,9 @@ func (d *Detector) StepColumns(eb *vm.EventBatch) {
 		d.batchErr = fmt.Errorf("%w: pc outside program of %d instructions", vm.ErrBadBatch, codeLen)
 		return
 	}
-	// Bulk-advance like StepBatch: recorder timestamps within a batch
-	// already see the post-batch count on the row path, so the columnar
-	// path matches it, not per-event Step.
+	// Bulk-advance: recorder timestamps within a batch see the
+	// post-batch count. The counter itself matches per-event Step at
+	// every batch boundary; only trace timestamps are batch-grained.
 	d.stats.Instructions += uint64(n)
 	shift := d.opts.BlockShift
 	blocks := eb.Blocks

@@ -315,20 +315,11 @@ func (d *Detector) blockInfoCachedSlow(b int64) *blockInfo {
 	return bi
 }
 
-// Step processes one dynamic instruction (vm.Observer).
+// Step processes one dynamic instruction (vm.Observer). It is the
+// reference path: StepColumns must stay bit-identical to it.
 func (d *Detector) Step(ev *vm.Event) {
 	d.stats.Instructions++
 	d.step(ev)
-}
-
-// StepBatch processes a run of consecutive dynamic instructions
-// (vm.BatchObserver). Output is bit-identical to feeding the events
-// through Step one at a time.
-func (d *Detector) StepBatch(evs []vm.Event) {
-	d.stats.Instructions += uint64(len(evs))
-	for i := range evs {
-		d.step(&evs[i])
-	}
 }
 
 func (d *Detector) step(ev *vm.Event) {

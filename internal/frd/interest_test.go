@@ -110,8 +110,8 @@ func TestReaderIndexInvariant(t *testing.T) {
 	check()
 }
 
-// TestFRDBatchChopping: the event stream chopped into arbitrary batch
-// sizes must match per-event Step bit for bit.
+// TestFRDBatchChopping: the event stream chopped into columnar batches
+// of arbitrary size must match per-event Step bit for bit.
 func TestFRDBatchChopping(t *testing.T) {
 	w := workloads.PgSQLOLTP(workloads.PgSQLConfig{
 		Warehouses: 2, Terminals: 4, Txns: 48, Seed: 2,
@@ -139,7 +139,11 @@ func TestFRDBatchChopping(t *testing.T) {
 				if hi > len(evs) {
 					hi = len(evs)
 				}
-				d.StepBatch(evs[lo:hi])
+				eb := vm.NewEventBatch(hi - lo)
+				for i := lo; i < hi; i++ {
+					eb.Append(&evs[i])
+				}
+				d.StepColumns(eb)
 			}
 			if !reflect.DeepEqual(d.Races(), ref.Races()) {
 				t.Error("races diverge from per-event Step")

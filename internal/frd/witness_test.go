@@ -16,7 +16,7 @@ func TestWitnessPairsWithEveryRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := New(wl.Prog, wl.NumThreads, Options{Witness: true})
-	m.AttachBatch(d)
+	m.AttachColumns(d)
 	if _, err := m.Run(1 << 24); err != nil {
 		t.Fatal(err)
 	}

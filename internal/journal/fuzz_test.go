@@ -25,12 +25,11 @@ func buildSeedSegment(t interface{ Fatal(...any) }) []byte {
 	}
 	helloBytes := append([]byte(nil), frames.Bytes()...)
 	frames.Reset()
-	evs := []vm.Event{
-		{Seq: 1, CPU: 0, PC: 3, IsLoad: true, Addr: 64, Loaded: 5},
-		{Seq: 2, CPU: 1, PC: 9, IsStore: true, Addr: 64, Stored: 6},
-		{Seq: 3, CPU: 0, PC: 4},
-	}
-	if err := f.WriteEvents(evs); err != nil {
+	eb := vm.NewEventBatch(3)
+	eb.AppendRaw(1, 0, 3, vm.FlagLoad, 64, 5, 0)
+	eb.AppendRaw(2, 1, 9, vm.FlagStore, 64, 0, 6)
+	eb.AppendRaw(3, 0, 4, 0, 0, 0, 0)
+	if err := f.WriteColumns(eb); err != nil {
 		t.Fatal(err)
 	}
 	eventBytes := append([]byte(nil), frames.Bytes()...)

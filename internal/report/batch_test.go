@@ -4,12 +4,16 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/frd"
+	"repro/internal/svd"
 	"repro/internal/workloads"
 )
 
-// TestRunBatchedMatchesUnbatched: the default batched event pipeline must
+// TestRunBatchedMatchesUnbatched: Run's columnar event pipeline must
 // produce samples bit-identical to per-instruction observer dispatch —
-// classifications, logs, and both detectors' raw stats.
+// classifications, logs, and both detectors' raw stats. The per-event
+// sample is built here, the way Run would build it with the detectors
+// attached as vm.Observers.
 func TestRunBatchedMatchesUnbatched(t *testing.T) {
 	cases := []*workloads.Workload{
 		workloads.ApacheLog(workloads.ApacheConfig{
@@ -26,10 +30,7 @@ func TestRunBatchedMatchesUnbatched(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stepped, err := Run(w, seed, Options{Unbatched: true})
-				if err != nil {
-					t.Fatal(err)
-				}
+				stepped := runPerEvent(t, w, seed)
 				if !reflect.DeepEqual(batched, stepped) {
 					t.Errorf("seed %d: batched sample diverges:\nbatched %+v\nstepped %+v",
 						seed, batched, stepped)
@@ -37,4 +38,29 @@ func TestRunBatchedMatchesUnbatched(t *testing.T) {
 			}
 		})
 	}
+}
+
+// runPerEvent is Run with both detectors attached as per-instruction
+// observers: the reference the columnar pipeline is held to.
+func runPerEvent(t *testing.T, w *workloads.Workload, seed uint64) *Sample {
+	t.Helper()
+	m, err := w.NewVM(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd := svd.New(w.Prog, w.NumThreads, svd.Options{})
+	fd := frd.New(w.Prog, w.NumThreads, frd.Options{})
+	m.Attach(sd)
+	m.Attach(fd)
+	if _, err := m.Run(1 << 24); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Done() {
+		t.Fatalf("%s seed %d did not finish", w.Name, seed)
+	}
+	s := Classify(w, seed, sd, fd)
+	if w.Check != nil {
+		s.Erroneous, s.ErrorDetail = w.Check(m)
+	}
+	return s
 }

@@ -85,7 +85,7 @@ func TestColumnarDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			var evs []vm.Event
-			m.AttachBatch(batchCollector{&evs})
+			m.Attach(vm.ObserverFunc(func(ev *vm.Event) { evs = append(evs, *ev) }))
 			if _, err := m.Run(1 << 24); err != nil {
 				t.Fatal(err)
 			}
@@ -126,8 +126,3 @@ func TestColumnarDifferential(t *testing.T) {
 		})
 	}
 }
-
-// batchCollector accumulates a private copy of every batch.
-type batchCollector struct{ evs *[]vm.Event }
-
-func (c batchCollector) StepBatch(evs []vm.Event) { *c.evs = append(*c.evs, evs...) }

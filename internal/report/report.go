@@ -104,16 +104,6 @@ type Options struct {
 	// telemetry entirely.
 	Obs *obs.Sink
 
-	// Unbatched attaches the detectors as per-instruction vm.Observers
-	// instead of columnar batch consumers. Debug and differential-testing
-	// knob; the batched pipeline is output-identical.
-	Unbatched bool
-
-	// RowBatched attaches the detectors as row-form vm.BatchObservers
-	// (StepBatch over []vm.Event) instead of the default columnar ring.
-	// Differential-testing knob, mutually exclusive with Unbatched.
-	RowBatched bool
-
 	// Witness enables both detectors' flight recorders and carries their
 	// witnesses into each Sample.
 	Witness bool
@@ -144,23 +134,14 @@ func Run(w *workloads.Workload, seed uint64, opts Options) (*Sample, error) {
 	}
 	sd := svd.New(w.Prog, w.NumThreads, opts.SVD)
 	fd := frd.New(w.Prog, w.NumThreads, opts.FRD)
-	switch {
-	case opts.Unbatched:
-		m.Attach(sd)
-		m.Attach(fd)
-	case opts.RowBatched:
-		m.AttachBatch(sd)
-		m.AttachBatch(fd)
-	default:
-		// Columnar by default: in-process runs exercise exactly the
-		// ingest path the detection service runs (StepColumns), so the
-		// loopback -verify comparison covers one code path, not two.
-		// The ring carries block ids at SVD's shift, computed once at
-		// append time; FRD shares them whenever its shift agrees.
-		m.SetColumnBlockShift(opts.SVD.BlockShift)
-		m.AttachColumns(sd)
-		m.AttachColumns(fd)
-	}
+	// In-process runs exercise exactly the ingest path the detection
+	// service runs (StepColumns), so the loopback -verify comparison
+	// covers one code path, not two. The ring carries block ids at SVD's
+	// shift, computed once at append time; FRD shares them whenever its
+	// shift agrees.
+	m.SetColumnBlockShift(opts.SVD.BlockShift)
+	m.AttachColumns(sd)
+	m.AttachColumns(fd)
 	endSim := rec.Span("simulate")
 	_, err = m.Run(opts.MaxSteps)
 	endSim()

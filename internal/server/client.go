@@ -63,13 +63,6 @@ type ReplayOptions struct {
 	// servers that do not hold this workload in their registry.
 	EmbedProgram bool
 
-	// RowEncode replays through the legacy row-form observer path
-	// (vm.AttachBatch + Framer.WriteEvents) instead of the default
-	// columnar one. The bytes on the wire are identical either way;
-	// the flag exists so the loopback differential can exercise both
-	// producer paths.
-	RowEncode bool
-
 	// Timestamps negotiates wire-to-verdict latency tracing: every
 	// Events frame carries a send stamp, and the Result comes back with
 	// the server's latency digest in ReplayStats.Latency. Needs a
@@ -150,30 +143,18 @@ func (c *Client) RunSample(w *workloads.Workload, seed uint64, opts ReplayOption
 			}
 		}
 	}
-	if opts.RowEncode {
-		m.AttachBatch(batchFunc(func(evs []vm.Event) {
-			if sendErr != nil {
-				return
-			}
-			pace()
-			sendErr = c.f.WriteEvents(evs)
-			stats.Events += uint64(len(evs))
-			stats.Batches++
-		}))
-	} else {
-		// Default producer path: the VM's columnar ring feeds the
-		// columnar encoder, so no []vm.Event is built on this side
-		// either — the replay is zero-copy end to end.
-		m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
-			if sendErr != nil {
-				return
-			}
-			pace()
-			sendErr = c.f.WriteColumns(eb)
-			stats.Events += uint64(eb.Len())
-			stats.Batches++
-		}))
-	}
+	// The VM's columnar ring feeds the columnar encoder, so no
+	// []vm.Event is built on this side either — the replay is zero-copy
+	// end to end.
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		if sendErr != nil {
+			return
+		}
+		pace()
+		sendErr = c.f.WriteColumns(eb)
+		stats.Events += uint64(eb.Len())
+		stats.Batches++
+	}))
 	_, runErr := m.Run(maxSteps)
 	stats.Elapsed = time.Since(start)
 	if sendErr != nil {
@@ -219,8 +200,3 @@ func (c *Client) RunSample(w *workloads.Workload, seed uint64, opts ReplayOption
 		return nil, stats, fmt.Errorf("%w: expected result, got %s", wire.ErrBadFrame, fr.Type)
 	}
 }
-
-// batchFunc adapts a function to vm.BatchObserver.
-type batchFunc func(evs []vm.Event)
-
-func (f batchFunc) StepBatch(evs []vm.Event) { f(evs) }

@@ -46,9 +46,7 @@ func collectEvents(t *testing.T, w *workloads.Workload, seed uint64) ([]vm.Event
 		t.Fatal(err)
 	}
 	var evs []vm.Event
-	m.AttachBatch(batchFunc(func(b []vm.Event) {
-		evs = append(evs, b...)
-	}))
+	m.Attach(vm.ObserverFunc(func(ev *vm.Event) { evs = append(evs, *ev) }))
 	if _, err := m.Run(1 << 24); err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +54,15 @@ func collectEvents(t *testing.T, w *workloads.Workload, seed uint64) ([]vm.Event
 		t.Fatal("vm did not finish")
 	}
 	return evs, m
+}
+
+// writeRows frames a run of recorded events as one Events frame.
+func writeRows(f *wire.Framer, evs []vm.Event) error {
+	eb := vm.NewEventBatch(len(evs))
+	for i := range evs {
+		eb.Append(&evs[i])
+	}
+	return f.WriteColumns(eb)
 }
 
 // startClusterNode builds an engine+router+server listening on TCP.
@@ -122,7 +129,7 @@ func TestClusterHandoffDifferential(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.WriteEvents(evs[:cut]); err != nil {
+			if err := writeRows(f, evs[:cut]); err != nil {
 				t.Fatal(err)
 			}
 			// Frame 1 ingested locally under the old view, then move the
@@ -133,7 +140,7 @@ func TestClusterHandoffDifferential(t *testing.T) {
 
 			for i := cut; i < len(evs); i += vm.DefaultBatchCap {
 				j := min(i+vm.DefaultBatchCap, len(evs))
-				if err := f.WriteEvents(evs[i:j]); err != nil {
+				if err := writeRows(f, evs[i:j]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -215,7 +222,7 @@ func TestClusterHandoffTimestamps(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteEvents(evs[:cut]); err != nil {
+	if err := writeRows(f, evs[:cut]); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "frame 1 ingest", func() bool { return eA.Counters().Events >= cut })
@@ -224,7 +231,7 @@ func TestClusterHandoffTimestamps(t *testing.T) {
 
 	for i := cut; i < len(evs); i += vm.DefaultBatchCap {
 		j := min(i+vm.DefaultBatchCap, len(evs))
-		if err := f.WriteEvents(evs[i:j]); err != nil {
+		if err := writeRows(f, evs[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -484,7 +491,7 @@ func TestClusterStickyStream(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.WriteEvents(evs[:7]); err != nil {
+	if err := writeRows(f, evs[:7]); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "frame 1 ingest", func() bool { return eA.Counters().Events >= 7 })
@@ -492,7 +499,7 @@ func TestClusterStickyStream(t *testing.T) {
 		[]cluster.Member{{ID: "nB", Addr: lnB.Addr().String()}}).Assignment("test"))
 	for i := 7; i < len(evs); i += vm.DefaultBatchCap {
 		j := min(i+vm.DefaultBatchCap, len(evs))
-		if err := f.WriteEvents(evs[i:j]); err != nil {
+		if err := writeRows(f, evs[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,7 +36,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -133,25 +132,9 @@ func (cs *ClusterServer) Router() *cluster.Router { return cs.rt }
 func (cs *ClusterServer) Engine() *Engine { return cs.eng }
 
 // Serve accepts connections until the listener closes, one cluster
-// session per connection — the cluster-mode analogue of Engine.Serve.
-func (cs *ClusterServer) Serve(ln net.Listener) error {
-	var sessions sync.WaitGroup
-	defer sessions.Wait()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		sessions.Add(1)
-		go func() {
-			defer sessions.Done()
-			cs.ServeConn(conn)
-		}()
-	}
-}
+// session per connection — the cluster-mode analogue of Engine.Serve,
+// sharing its accept loop and CloseConns.
+func (cs *ClusterServer) Serve(ln net.Listener) error { return cs.eng.serve(ln, cs.ServeConn) }
 
 // ServeConn runs one cluster session: a loop of top-level frames, each
 // either a client stream (Hello), a membership exchange (Assign), or an

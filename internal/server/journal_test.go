@@ -257,8 +257,8 @@ func TestReplayIncompleteStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.AttachBatch(batchFunc(func(evs []vm.Event) {
-		if err := f.WriteEvents(evs); err != nil {
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		if err := f.WriteColumns(eb); err != nil {
 			t.Error(err)
 		}
 	}))
@@ -437,7 +437,6 @@ func TestDecodeAndDifferential(t *testing.T) {
 		}
 	}
 }
-
 
 // TestReplayJournalAnchored: a capture served WITHOUT witnesses still
 // anchors its violations; the anchored replay re-detects it on a

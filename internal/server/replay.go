@@ -222,8 +222,9 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 	}
 	d.SetProgram(w.Prog, w.NumThreads)
 	var evs []vm.Event
+	eb := vm.NewEventBatch(0)
 	for {
-		fr, err := d.ReadFrame()
+		fr, err := d.ReadFrameInto(eb)
 		if err != nil {
 			if errors.Is(err, io.EOF) {
 				return w, evs, nil // cut capture: serve what decoded
@@ -232,7 +233,7 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 		}
 		switch fr.Type {
 		case wire.FrameEvents:
-			evs = append(evs, fr.Events...)
+			evs = eb.AppendEvents(evs, w.Prog.Code)
 		case wire.FrameGoodbye:
 			return w, evs, nil
 		default:

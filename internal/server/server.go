@@ -44,11 +44,6 @@
 //     session is provably parked in Close/Abort by then, which is what
 //     licenses the worker to touch the consumer end.
 //
-// The legacy Stream.Ingest([]vm.Event) survives as a convenience that
-// copies rows into a borrowed batch — the vm.BatchObserver contract
-// (caller may reuse the slice immediately) makes the copy mandatory
-// there, which is precisely why the columnar entry points exist.
-//
 // The per-shard queues are bounded; Options.Policy picks what happens
 // when a queue fills. PolicyBlock stalls the producing session, which
 // propagates backpressure to the client through TCP — the right default
@@ -69,6 +64,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -235,10 +231,12 @@ type Engine struct {
 	// nil for a standalone daemon. /statusz and /metrics read it.
 	clusterRt *cluster.Router
 
-	mu      sync.Mutex
-	samples []*report.Sample   // completed stream reports, open-order
-	open    map[uint64]*Stream // registry behind Snapshot's stream table
-	anchors []StreamAnchors    // journaled streams' violation anchors, close-order
+	mu          sync.Mutex
+	samples     []*report.Sample      // completed stream reports, open-order
+	open        map[uint64]*Stream    // registry behind Snapshot's stream table
+	anchors     []StreamAnchors       // journaled streams' violation anchors, close-order
+	conns       map[net.Conn]struct{} // connections of running sessions (serve)
+	connsClosed bool                  // CloseConns ran: refuse new connections
 }
 
 // job is one unit of shard work. Exactly one of open/close/eb is set.
@@ -274,6 +272,7 @@ func New(opts Options) *Engine {
 		opts:    opts.withDefaults(),
 		started: time.Now(),
 		open:    make(map[uint64]*Stream),
+		conns:   make(map[net.Conn]struct{}),
 	}
 	e.shards = make([]*shard, e.opts.Shards)
 	for i := range e.shards {
@@ -530,21 +529,6 @@ func (s *Stream) NoteWireBytes(n int) {
 // populated by the close job, so it must not be called before Close (or
 // Abort) returns; nil when the stream never carried a send stamp.
 func (s *Stream) Latency() *LatencyReport { return s.latReport }
-
-// Ingest feeds one row-form event batch. The slice is copied into a
-// borrowed columnar buffer before enqueueing (callers may reuse it
-// immediately, matching the vm.BatchObserver contract); producers that
-// can avoid the copy should use GetBatch/IngestBatch directly.
-func (s *Stream) Ingest(evs []vm.Event) {
-	if len(evs) == 0 {
-		return
-	}
-	eb := s.GetBatch()
-	for i := range evs {
-		eb.Append(&evs[i])
-	}
-	s.IngestBatch(eb)
-}
 
 // Close finalizes the stream and returns its report. The close job
 // never sheds — a queue full of this stream's own batches must drain

@@ -4,33 +4,54 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/report"
 	"repro/internal/vm"
 	"repro/internal/wire"
 	"repro/internal/workloads"
 )
 
-// collectBatches runs a workload locally and returns its event batches
-// at the VM's own boundaries — the raw material the engine ingests.
-func collectBatches(t *testing.T, w *workloads.Workload, seed uint64) [][]vm.Event {
+// collectBatches runs a workload locally and returns copies of its
+// columnar batches at the VM's own boundaries — the raw material the
+// engine ingests.
+func collectBatches(t *testing.T, w *workloads.Workload, seed uint64) []*vm.EventBatch {
 	t.Helper()
-	m, err := w.NewVM(seed)
+	batches, err := recordBatches(w, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batches [][]vm.Event
-	m.AttachBatch(batchFunc(func(evs []vm.Event) {
-		batches = append(batches, append([]vm.Event(nil), evs...))
-	}))
-	if _, err := m.Run(1 << 24); err != nil {
-		t.Fatal(err)
-	}
 	return batches
+}
+
+// ingestCopy ingests a copy of b; the test keeps b.
+func ingestCopy(st *Stream, b *vm.EventBatch) {
+	eb := st.GetBatch()
+	eb.CopyFrom(b)
+	st.IngestBatch(eb)
+}
+
+// recordBatches is collectBatches without the testing.T, for use from
+// non-test goroutines (t.Fatal is main-goroutine-only).
+func recordBatches(w *workloads.Workload, seed uint64) ([]*vm.EventBatch, error) {
+	m, err := w.NewVM(seed)
+	if err != nil {
+		return nil, err
+	}
+	var batches []*vm.EventBatch
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		cp := vm.NewEventBatch(eb.Len())
+		cp.CopyFrom(eb)
+		batches = append(batches, cp)
+	}))
+	_, err = m.Run(1 << 24)
+	return batches, err
 }
 
 func hello(w *workloads.Workload, seed uint64, witness bool) wire.Hello {
@@ -57,7 +78,7 @@ func TestEngineMatchesInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range collectBatches(t, w, seed) {
-		st.Ingest(b)
+		ingestCopy(st, b)
 	}
 	got, err := st.Close()
 	if err != nil {
@@ -103,7 +124,7 @@ func TestShedPolicy(t *testing.T) {
 	// cannot keep up.
 	for i := 0; i < 4; i++ {
 		for _, b := range batches {
-			st.Ingest(b)
+			ingestCopy(st, b)
 		}
 	}
 	if _, err := st.Close(); err == nil || !strings.Contains(err.Error(), "shed") {
@@ -136,8 +157,8 @@ func TestBlockPolicyLosesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range batches {
-		st.Ingest(b)
-		events += uint64(len(b))
+		ingestCopy(st, b)
+		events += uint64(b.Len())
 	}
 	if _, err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -198,7 +219,7 @@ func TestEmbeddedProgramStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range collectBatches(t, w, seed) {
-		st.Ingest(b)
+		ingestCopy(st, b)
 	}
 	s, err := st.Close()
 	if err != nil {
@@ -244,6 +265,89 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownDrainsQuietConns: at the drain deadline CloseConns must end
+// every session still open — one connection that never sent a frame,
+// one stopped mid-stream (Hello and events, no Goodbye) — so Serve
+// returns within the deadline plus slack and both peers see their
+// connection close. Without it one quiet client holds Serve, and with it
+// svdd's SIGINT drain, open until the client hangs up. Both accept loops
+// run through the same code, so both are covered.
+func TestShutdownDrainsQuietConns(t *testing.T) {
+	w, err := workloads.ByName("queue-fixed", 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := collectBatches(t, w, 1)
+	for _, mode := range []string{"engine", "cluster"} {
+		t.Run(mode, func(t *testing.T) {
+			e := New(Options{Shards: 2})
+			defer shutdown(t, e)
+			serve := e.Serve
+			if mode == "cluster" {
+				view := cluster.NewView(1, []cluster.Member{{ID: "n1", Addr: "unused"}})
+				serve = NewClusterServer(e, cluster.NewRouter("n1", view), ClusterOptions{}).Serve
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- serve(ln) }()
+
+			idle, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer idle.Close()
+			mid, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mid.Close()
+			f := wire.NewFramer(mid, w.NumThreads)
+			if err := f.WriteHello(hello(w, 1, false)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.WriteColumns(batches[0]); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "mid-stream ingest", func() bool { return e.Counters().Events > 0 })
+			waitFor(t, "both sessions", func() bool {
+				e.mu.Lock()
+				defer e.mu.Unlock()
+				return len(e.conns) == 2
+			})
+
+			ln.Close()
+			const deadline = 200 * time.Millisecond
+			start := time.Now()
+			timer := time.AfterFunc(deadline, e.CloseConns)
+			defer timer.Stop()
+			select {
+			case err := <-served:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(deadline + 2*time.Second):
+				t.Fatal("Serve still waiting on sessions after CloseConns")
+			}
+			if el := time.Since(start); el < deadline {
+				t.Fatalf("Serve returned after %v, before the deadline, with sessions open", el)
+			}
+			for name, c := range map[string]net.Conn{"idle": idle, "mid-stream": mid} {
+				if err := c.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+					t.Fatal(err)
+				}
+				_, err := io.ReadAll(c)
+				var ne net.Error
+				if errors.As(err, &ne) && ne.Timeout() {
+					t.Errorf("%s connection still open after CloseConns", name)
+				}
+			}
+		})
+	}
+}
+
 // TestReportHandler exercises the query surface end to end: samples in,
 // JSON out, witnesses deep-copied into the digest.
 func TestReportHandler(t *testing.T) {
@@ -259,7 +363,7 @@ func TestReportHandler(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range collectBatches(t, w, seed) {
-		st.Ingest(b)
+		ingestCopy(st, b)
 	}
 	if _, err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -18,10 +18,16 @@ import (
 // connection never holds a detector hostage and a slow shard stalls
 // exactly the connections routed to it (PolicyBlock) and nobody else.
 
-// Serve accepts connections until the listener closes (Shutdown's drain
-// closes it via the caller) and runs one session per connection. It
-// returns once the accept loop ends and every session has finished.
-func (e *Engine) Serve(ln net.Listener) error {
+// Serve accepts connections until the listener closes and runs one
+// session per connection. It returns once the accept loop ends and every
+// session has finished; CloseConns bounds that wait.
+func (e *Engine) Serve(ln net.Listener) error { return e.serve(ln, e.ServeConn) }
+
+// serve is the accept loop behind Engine.Serve and ClusterServer.Serve.
+// It records each session's connection while the session runs, so
+// CloseConns can end sessions that would otherwise wait forever on a
+// quiet peer.
+func (e *Engine) serve(ln net.Listener, session func(net.Conn)) error {
 	var sessions sync.WaitGroup
 	defer sessions.Wait()
 	for {
@@ -32,11 +38,41 @@ func (e *Engine) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		e.mu.Lock()
+		if e.connsClosed { // accepted after CloseConns
+			e.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		e.conns[conn] = struct{}{}
+		e.mu.Unlock()
 		sessions.Add(1)
 		go func() {
 			defer sessions.Done()
-			e.ServeConn(conn)
+			session(conn)
+			e.mu.Lock()
+			delete(e.conns, conn)
+			e.mu.Unlock()
 		}()
+	}
+}
+
+// CloseConns closes every connection a Serve loop is running a session
+// on, and any it accepts afterwards. A session blocked reading its next
+// frame then fails the read and ends, aborting its open stream, so
+// Serve returns: a client that holds a connection open without sending
+// cannot keep a draining daemon alive. Reads carry no deadline, so the
+// ingest path pays nothing for this.
+func (e *Engine) CloseConns() {
+	e.mu.Lock()
+	e.connsClosed = true
+	conns := make([]net.Conn, 0, len(e.conns))
+	for conn := range e.conns {
+		conns = append(conns, conn)
+	}
+	e.mu.Unlock()
+	for _, conn := range conns {
+		conn.Close()
 	}
 }
 

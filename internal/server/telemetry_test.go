@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -143,12 +142,15 @@ func TestSnapshotDuringIngest(t *testing.T) {
 				return
 			}
 			now := uint64(time.Now().UnixNano())
-			for _, b := range collectBatchesB(t, w, tc.seed) {
+			batches, err := recordBatches(w, tc.seed)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, b := range batches {
 				eb := st.GetBatch()
-				for i := range b {
-					eb.Append(&b[i])
-				}
-				st.NoteWireBytes(len(b) * 4)
+				eb.CopyFrom(b)
+				st.NoteWireBytes(b.Len() * 4)
 				st.IngestBatchAt(eb, now)
 			}
 			if _, err := st.Close(); err != nil {
@@ -182,25 +184,6 @@ func TestSnapshotDuringIngest(t *testing.T) {
 	}
 }
 
-// collectBatchesB is collectBatches for use from non-test goroutines
-// (t.Fatal is main-goroutine-only).
-func collectBatchesB(t *testing.T, w *workloads.Workload, seed uint64) [][]vm.Event {
-	m, err := w.NewVM(seed)
-	if err != nil {
-		t.Error(err)
-		return nil
-	}
-	var batches [][]vm.Event
-	m.AttachBatch(batchFunc(func(evs []vm.Event) {
-		batches = append(batches, append([]vm.Event(nil), evs...))
-	}))
-	if _, err := m.Run(1 << 24); err != nil {
-		t.Error(err)
-		return nil
-	}
-	return batches
-}
-
 // TestShedVisibleInSnapshot overloads a shed-policy engine and requires
 // the overload to be visible everywhere it should be: stream odometer,
 // poisoned flag, statusz page, counters — while the stream is still
@@ -221,7 +204,7 @@ func TestShedVisibleInSnapshot(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for _, b := range batches {
-			st.Ingest(b)
+			ingestCopy(st, b)
 		}
 	}
 
@@ -289,7 +272,7 @@ func TestReportMergesObsHistograms(t *testing.T) {
 		}
 		wantShards = append(wantShards, st.sh.id)
 		for _, b := range collectBatches(t, w, seed) {
-			st.Ingest(b)
+			ingestCopy(st, b)
 		}
 		if _, err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -345,9 +328,9 @@ func TestSnapshotStreamOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small.Ingest(batches[0])
+	ingestCopy(small, batches[0])
 	for _, b := range batches {
-		big.Ingest(b)
+		ingestCopy(big, b)
 	}
 
 	// Ingest is async; poll until the counters surface.

@@ -146,9 +146,9 @@ func TestEvictBlockClearsInterest(t *testing.T) {
 }
 
 // TestBatchChopping is the batching property test: the same event stream
-// chopped into arbitrary batch sizes — single events, a prime stride, the
-// default ring capacity, one whole-trace batch — must produce output
-// bit-identical to per-event Step.
+// chopped into columnar batches of arbitrary size — single events, a
+// prime stride, the default ring capacity, one whole-trace batch — must
+// produce output bit-identical to per-event Step.
 func TestBatchChopping(t *testing.T) {
 	w := workloads.PgSQLOLTP(workloads.PgSQLConfig{
 		Warehouses: 2, Terminals: 4, Txns: 48, Seed: 2,
@@ -176,7 +176,7 @@ func TestBatchChopping(t *testing.T) {
 				if hi > len(evs) {
 					hi = len(evs)
 				}
-				d.StepBatch(evs[lo:hi])
+				d.StepColumns(mkColumns(evs[lo:hi]))
 			}
 			if !reflect.DeepEqual(d.Violations(), ref.Violations()) {
 				t.Error("violations diverge from per-event Step")

@@ -503,22 +503,11 @@ func (d *Detector) FlushObs() {
 // block maps a word address to a block id.
 func (d *Detector) block(addr int64) int64 { return addr >> d.opts.BlockShift }
 
-// Step processes one dynamic instruction (vm.Observer).
+// Step processes one dynamic instruction (vm.Observer). It is the
+// reference path: StepColumns must stay bit-identical to it.
 func (d *Detector) Step(ev *vm.Event) {
 	d.stats.Instructions++
 	d.threads[ev.CPU].step(ev)
-}
-
-// StepBatch processes a run of consecutive dynamic instructions
-// (vm.BatchObserver): the same per-event work as Step with the interface
-// dispatch amortized over the batch. Output is bit-identical to feeding
-// the events through Step one at a time.
-func (d *Detector) StepBatch(evs []vm.Event) {
-	for i := range evs {
-		ev := &evs[i]
-		d.stats.Instructions++
-		d.threads[ev.CPU].step(ev)
-	}
 }
 
 // fanout propagates a memory access to the remote thread instances. With

@@ -17,7 +17,8 @@ func table2Witness(t *testing.T, w *workloads.Workload, seed uint64, opts Option
 		t.Fatal(err)
 	}
 	d := New(w.Prog, w.NumThreads, opts)
-	m.AttachBatch(d)
+	m.SetColumnBlockShift(opts.BlockShift)
+	m.AttachColumns(d)
 	if _, err := m.Run(1 << 24); err != nil {
 		t.Fatal(err)
 	}

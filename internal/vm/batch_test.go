@@ -7,15 +7,17 @@ import (
 	"repro/internal/isa"
 )
 
-// batchCollector records every batched event and the batch cut points.
+// batchCollector records every columnar batch, materialized as rows, and
+// the batch cut points.
 type batchCollector struct {
+	code    []isa.Instr
 	events  []Event
 	batches []int
 }
 
-func (c *batchCollector) StepBatch(evs []Event) {
-	c.events = append(c.events, evs...)
-	c.batches = append(c.batches, len(evs))
+func (c *batchCollector) StepColumns(eb *EventBatch) {
+	c.events = eb.AppendEvents(c.events, c.code)
+	c.batches = append(c.batches, eb.Len())
 }
 
 // contendedProg builds a small multi-CPU program with loads, stores, and a
@@ -38,7 +40,7 @@ func contendedProg() *isa.Program {
 }
 
 // TestBatchStreamMatchesObserverStream runs the same machine twice — once
-// with a per-instruction observer, once with a batched one — and requires
+// with a per-instruction observer, once with a columnar one — and requires
 // the concatenated batches to be the identical event sequence.
 func TestBatchStreamMatchesObserverStream(t *testing.T) {
 	p := contendedProg()
@@ -59,8 +61,8 @@ func TestBatchStreamMatchesObserverStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bc batchCollector
-	m2.AttachBatch(&bc)
+	bc := batchCollector{code: p.Code}
+	m2.AttachColumns(&bc)
 	n2, err := m2.Run(1 << 16)
 	if err != nil {
 		t.Fatal(err)
@@ -70,10 +72,10 @@ func TestBatchStreamMatchesObserverStream(t *testing.T) {
 		t.Fatalf("step counts diverge: %d vs %d", n1, n2)
 	}
 	if uint64(len(bc.events)) != n2 {
-		t.Fatalf("batched observer saw %d events for %d steps", len(bc.events), n2)
+		t.Fatalf("columnar observer saw %d events for %d steps", len(bc.events), n2)
 	}
 	if !reflect.DeepEqual(perEvent, bc.events) {
-		t.Fatal("batched event stream differs from per-instruction stream")
+		t.Fatal("columnar event stream differs from per-instruction stream")
 	}
 	for i, sz := range bc.batches[:len(bc.batches)-1] {
 		if sz != cfg.BatchCap {
@@ -96,8 +98,8 @@ func TestBatchFlushOnFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bc batchCollector
-	m.AttachBatch(&bc)
+	bc := batchCollector{code: p.Code}
+	m.AttachColumns(&bc)
 	if _, err := m.Run(100); err == nil {
 		t.Fatal("expected a fault")
 	}
@@ -114,8 +116,8 @@ func TestBatchFlushAtBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var bc batchCollector
-	m.AttachBatch(&bc)
+	bc := batchCollector{code: p.Code}
+	m.AttachColumns(&bc)
 	ran, err := m.RunToScheduleBoundary(1, 50)
 	if err != nil {
 		t.Fatal(err)

@@ -13,14 +13,14 @@ import (
 // errors.Is matches.
 var ErrBadBatch = errors.New("vm: malformed event batch")
 
-// Columnar event batches. The array-of-structs []Event form costs ~80
-// bytes per dynamic instruction, most of it the embedded Instr that the
+// Columnar event batches: the one batch form. An Event costs ~80 bytes
+// per dynamic instruction, most of it the embedded Instr that the
 // receiver can rebind from the program anyway. The struct-of-arrays
-// EventBatch carries the same information in parallel columns (~29
-// bytes/event), lets the wire decoder fill a reusable buffer without
-// materializing each Event, and lets the detectors walk runs of
-// same-thread events without re-deriving per-thread state per row.
-// DESIGN.md §11 describes the ownership and pooling model built on it.
+// EventBatch carries the same information in parallel columns, lets the
+// wire decoder fill a reusable buffer without materializing each Event,
+// and lets the detectors walk runs of same-thread events without
+// re-deriving per-thread state per row. DESIGN.md §11 describes the
+// ownership and pooling model built on it.
 
 // Event flag bits, shared with the wire codec's per-event flags byte.
 const (
@@ -139,8 +139,8 @@ func (b *EventBatch) AppendRaw(seq uint64, cpu int32, pc int64, flags uint8, add
 	}
 }
 
-// AppendEvents appends each batch row (rebinding Instr from code) and
-// appends it to dst, returning the extended slice.
+// AppendEvents materializes each batch row (rebinding Instr from code)
+// and appends it to dst, returning the extended slice.
 func (b *EventBatch) AppendEvents(dst []Event, code []isa.Instr) []Event {
 	for i := range b.Seq {
 		dst = append(dst, b.Row(i, code))
@@ -183,11 +183,13 @@ func (b *EventBatch) CopyFrom(src *EventBatch) {
 }
 
 // ColumnObserver receives the dynamic instruction stream as columnar
-// batches: the same events, in the same order and at the same flush
-// boundaries, as a BatchObserver sees — minus the pre-bound Instr,
-// which columnar consumers rebind from the program. The batch is the
-// machine's reused buffer; implementations must not retain it or its
-// columns across calls.
+// batches: runs of consecutive events in execution order, identical in
+// content and order to what a per-instruction Observer sees minus the
+// pre-bound Instr (columnar consumers rebind it from the program),
+// delivered when the machine's ring fills or a run reaches a stopping
+// point (budget exhausted, all CPUs halted, a fault, or an explicit
+// FlushBatch). The batch is the machine's reused buffer;
+// implementations must not retain it or its columns across calls.
 type ColumnObserver interface {
 	StepColumns(eb *EventBatch)
 }

@@ -94,10 +94,10 @@ type Config struct {
 	// FixedCost{}.
 	Cost CostModel
 
-	// BatchCap sizes the event ring serving batched observers
-	// (AttachBatch): events buffer until the ring fills or the run
-	// reaches a stopping point, then flush as one StepBatch call. Zero
-	// means DefaultBatchCap.
+	// BatchCap sizes the columnar event ring serving AttachColumns
+	// observers: events buffer until the ring fills or the run reaches a
+	// stopping point, then flush as one StepColumns call. Zero means
+	// DefaultBatchCap.
 	BatchCap int
 }
 
@@ -155,19 +155,8 @@ func (f ObserverFunc) Step(ev *Event) { f(ev) }
 
 // DefaultBatchCap is the event ring capacity when Config.BatchCap is zero:
 // large enough to amortize the per-batch dispatch, small enough that the
-// ring (~40 KB of Events) stays cache-resident.
+// ring's columns stay cache-resident.
 const DefaultBatchCap = 512
-
-// BatchObserver receives the dynamic instruction stream in batches: runs
-// of consecutive events in execution order, identical in content and
-// order to what a per-instruction Observer sees, delivered when the
-// machine's event ring fills or a run reaches a stopping point (budget
-// exhausted, all CPUs halted, a fault, or an explicit FlushBatch). The
-// slice is the machine's reused ring; implementations must not retain it
-// or its elements across calls.
-type BatchObserver interface {
-	StepBatch(evs []Event)
-}
 
 // CPUState is the architectural state of one processor.
 type CPUState struct {
@@ -208,8 +197,6 @@ type VM struct {
 	quantum     int      // instructions left in the current quantum
 	cycles      []uint64 // per-CPU virtual time (TimingFirst mode)
 	observers   []Observer
-	batchObs    []BatchObserver
-	ring        []Event // pending events for batched observers
 	colObs      []ColumnObserver
 	cols        *EventBatch // pending events for columnar observers
 	colShift    uint        // Blocks-column shift for cols (SetColumnBlockShift)
@@ -265,21 +252,11 @@ func New(prog *isa.Program, cfg Config) (*VM, error) {
 // Attach registers an observer for all subsequent instructions.
 func (m *VM) Attach(obs Observer) { m.observers = append(m.observers, obs) }
 
-// AttachBatch registers a batched observer: instead of one virtual call
-// per instruction, events accumulate in the machine's ring and deliver as
-// StepBatch calls. Run and RunToScheduleBoundary flush before returning;
-// callers driving Step directly must FlushBatch before inspecting the
-// observer.
-func (m *VM) AttachBatch(obs BatchObserver) {
-	if m.ring == nil {
-		m.ring = make([]Event, 0, m.cfg.BatchCap)
-	}
-	m.batchObs = append(m.batchObs, obs)
-}
-
-// AttachColumns registers a columnar observer: events accumulate in the
-// machine's columnar ring (the same capacity and flush boundaries as
-// AttachBatch's ring) and deliver as StepColumns calls. This is the
+// AttachColumns registers a columnar observer: instead of one virtual
+// call per instruction, events accumulate in the machine's columnar ring
+// (Config.BatchCap rows) and deliver as StepColumns calls. Run and
+// RunToScheduleBoundary flush before returning; callers driving Step
+// directly must FlushBatch before inspecting the observer. This is the
 // event form the wire decoder hands the detection service, so attaching
 // detectors this way makes an in-process run exercise the identical
 // consumer code.
@@ -304,15 +281,9 @@ func (m *VM) SetColumnBlockShift(shift uint) {
 	}
 }
 
-// FlushBatch delivers any buffered events to the batched and columnar
-// observers and empties the rings.
+// FlushBatch delivers any buffered events to the columnar observers and
+// empties the ring.
 func (m *VM) FlushBatch() {
-	if len(m.ring) > 0 {
-		for _, o := range m.batchObs {
-			o.StepBatch(m.ring)
-		}
-		m.ring = m.ring[:0]
-	}
 	if m.cols != nil && m.cols.Len() > 0 {
 		for _, o := range m.colObs {
 			o.StepColumns(m.cols)
@@ -325,7 +296,6 @@ func (m *VM) FlushBatch() {
 func (m *VM) DetachAll() {
 	m.FlushBatch()
 	m.observers = nil
-	m.batchObs = nil
 	m.colObs = nil
 }
 
@@ -600,12 +570,6 @@ func (m *VM) Step() (bool, error) {
 	}
 	for _, o := range m.observers {
 		o.Step(ev)
-	}
-	if m.batchObs != nil {
-		m.ring = append(m.ring, *ev)
-		if len(m.ring) == cap(m.ring) {
-			m.FlushBatch()
-		}
 	}
 	if m.colObs != nil {
 		m.cols.Append(ev)

@@ -213,9 +213,9 @@ func TestAdoptCodecTimestamps(t *testing.T) {
 	var sent []vm.Event
 	frames := 0
 	split := 0 // byte offset after hello + first events frame
-	m.AttachBatch(batchFunc(func(evs []vm.Event) {
-		sent = append(sent, evs...)
-		if err := f.WriteEvents(evs); err != nil {
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		sent = eb.AppendEvents(sent, w.Prog.Code)
+		if err := f.WriteColumns(eb); err != nil {
 			t.Fatal(err)
 		}
 		if frames++; frames == 1 {
@@ -238,18 +238,19 @@ func TestAdoptCodecTimestamps(t *testing.T) {
 	}
 	hd.SetProgram(w.Prog, w.NumThreads)
 	var got []vm.Event
-	fr, err = hd.ReadFrame()
+	eb := vm.NewEventBatch(0)
+	fr, err = hd.ReadFrameInto(eb)
 	if err != nil || fr.Type != FrameEvents || fr.SendNanos != 1 {
 		t.Fatalf("replayed frame: %v type=%v stamp=%d", err, fr.Type, fr.SendNanos)
 	}
-	got = append(got, fr.Events...)
+	got = eb.AppendEvents(got, w.Prog.Code)
 
 	// "Live" deframer takes over the tail mid-stream.
 	live := NewDeframer(bytes.NewReader(stream[split:]))
 	live.AdoptCodec(hd)
 	stamp := uint64(1)
 	for {
-		fr, err = live.ReadFrame()
+		fr, err = live.ReadFrameInto(eb)
 		if err == io.EOF {
 			break
 		}
@@ -261,7 +262,7 @@ func TestAdoptCodecTimestamps(t *testing.T) {
 			if fr.SendNanos != stamp {
 				t.Fatalf("live frame stamp %d, want %d (timestamps flag lost in AdoptCodec?)", fr.SendNanos, stamp)
 			}
-			got = append(got, fr.Events...)
+			got = eb.AppendEvents(got, w.Prog.Code)
 		}
 	}
 	if !reflect.DeepEqual(got, sent) {

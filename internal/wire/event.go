@@ -27,8 +27,8 @@ import (
 //	  stored varint (zigzag)       value written (stores only)
 //
 // Instr does not travel: the receiver holds the program (from the
-// handshake) and rebinds Instr = prog.Code[PC] during decode, after
-// validating PC. On the Table 2 workloads this averages out to ~4 bytes
+// handshake) and validates each decoded PC against it, so consumers
+// rebind Instr = prog.Code[PC]. On the Table 2 workloads this averages out to ~4 bytes
 // per dynamic instruction (see BenchmarkWireEncode), a ~20x densification
 // that is what makes shipping every instruction of a server's execution
 // over a socket plausible at all.
@@ -56,61 +56,13 @@ type eventEncoder struct{ st codecState }
 
 func newEventEncoder(threads int) eventEncoder { return eventEncoder{st: newCodecState(threads)} }
 
-// WriteEvents emits one event batch frame. Events must be in execution
+// WriteColumns emits one event batch frame. Rows must be in execution
 // order (monotonic Seq) and CPU must be within the handshake's thread
-// count — both hold for batches delivered by vm.BatchObserver. On a
-// stream whose Hello negotiated Timestamps the payload opens with the
-// send stamp (wall-clock nanos), the first half of the wire-to-verdict
-// latency measurement.
-func (f *Framer) WriteEvents(evs []vm.Event) error {
-	f.buf = f.buf[:0]
-	b := bytes.NewBuffer(f.buf)
-	if f.timestamps {
-		putUvarint(b, uint64(f.now()))
-	}
-	putUvarint(b, uint64(len(evs)))
-	st := &f.enc.st
-	for i := range evs {
-		ev := &evs[i]
-		if ev.CPU < 0 || ev.CPU >= len(st.lastPC) {
-			return fmt.Errorf("wire: event cpu %d outside the handshake's %d threads", ev.CPU, len(st.lastPC))
-		}
-		putUvarint(b, ev.Seq-st.lastSeq)
-		st.lastSeq = ev.Seq
-		putUvarint(b, uint64(ev.CPU))
-		putVarint(b, ev.PC-st.lastPC[ev.CPU])
-		st.lastPC[ev.CPU] = ev.PC
-		var flags byte
-		if ev.IsLoad {
-			flags |= 1
-		}
-		if ev.IsStore {
-			flags |= 2
-		}
-		if ev.Taken {
-			flags |= 4
-		}
-		b.WriteByte(flags)
-		if ev.IsLoad || ev.IsStore {
-			putVarint(b, ev.Addr-st.lastAddr[ev.CPU])
-			st.lastAddr[ev.CPU] = ev.Addr
-		}
-		if ev.IsLoad {
-			putVarint(b, ev.Loaded)
-		}
-		if ev.IsStore {
-			putVarint(b, ev.Stored)
-		}
-	}
-	f.buf = b.Bytes()
-	return f.writeFrame(FrameEvents, f.buf)
-}
-
-// WriteColumns emits one event batch frame from columnar form,
-// producing bytes identical to WriteEvents on the equivalent rows. It
-// is the producer-side pair of the decoder's columnar fast path: a VM
-// emitting columnar batches (vm.AttachColumns) feeds them here without
-// ever materializing []vm.Event.
+// count — both hold for batches a VM delivers to vm.AttachColumns
+// observers, which feed them here without ever materializing
+// []vm.Event. On a stream whose Hello negotiated Timestamps the payload
+// opens with the send stamp (wall-clock nanos), the first half of the
+// wire-to-verdict latency measurement.
 func (f *Framer) WriteColumns(eb *vm.EventBatch) error {
 	f.buf = f.buf[:0]
 	b := bytes.NewBuffer(f.buf)
@@ -151,9 +103,7 @@ func (f *Framer) WriteColumns(eb *vm.EventBatch) error {
 }
 
 type eventDecoder struct {
-	st   codecState
-	evs  []vm.Event    // reused batch buffer (row-form ReadFrame)
-	cols vm.EventBatch // reused columnar buffer backing d.evs
+	st codecState
 
 	// memClass holds one flag-class byte per program PC; decodeColumns
 	// rejects rows whose load/store flag bits disagree with the opcode
@@ -209,8 +159,9 @@ func checkFlags(class uint8, flags byte) bool {
 }
 
 // decodeColumns parses one event batch payload directly into eb's
-// columns — the decode hot path, shared by ReadFrame and ReadFrameInto.
-// No per-event vm.Event is materialized and Instr is never copied; the
+// columns — the decode hot path behind ReadFrameInto (and ReadFrame,
+// which decodes into the Deframer's own batch). No per-event vm.Event
+// is materialized and Instr is never copied; the
 // consumer rebinds it from the program (every decoded PC is validated
 // against prog.Code here). The count is untrusted: capacity grows only
 // as events actually decode, so a hostile count cannot force an
@@ -271,17 +222,4 @@ func (d *eventDecoder) decodeColumns(payload []byte, prog *isa.Program, eb *vm.E
 		return fmt.Errorf("%w: %d trailing bytes after %d events", ErrBadFrame, p.rest(), count)
 	}
 	return nil
-}
-
-// decode parses one event batch payload into row form, reconstructing
-// Instr from prog. The returned slice is the decoder's reused buffer.
-// It is the compatibility wrapper over decodeColumns for consumers of
-// Frame.Events; the served ingest path uses ReadFrameInto instead and
-// never materializes rows.
-func (d *eventDecoder) decode(payload []byte, prog *isa.Program) ([]vm.Event, error) {
-	if err := d.decodeColumns(payload, prog, &d.cols); err != nil {
-		return nil, err
-	}
-	d.evs = d.cols.AppendEvents(d.evs[:0], prog.Code)
-	return d.evs, nil
 }

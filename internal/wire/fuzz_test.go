@@ -11,100 +11,78 @@ import (
 	"repro/internal/workloads"
 )
 
-// FuzzDeframe throws arbitrary bytes at the frame decoder and requires
-// that it never panics, never loops, and never allocates beyond the
-// input's own size class — the properties a network-facing decoder must
-// hold against hostile peers. The seed corpus covers the error taxonomy
-// explicitly: truncated frames, corrupted magic, version skew, and
-// max-length abuse (huge declared payloads and counts over tiny actual
-// payloads).
-func FuzzDeframe(f *testing.F) {
-	w, err := workloads.ByName("queue-fixed", 1, 0)
-	if err != nil {
-		f.Fatal(err)
-	}
-
-	// A well-formed stream: hello (registry form), two event batches,
+// deframeCorpus builds the decoder's seed corpus over w, covering the
+// error taxonomy explicitly: truncated frames, corrupted magic, version
+// skew, max-length abuse (huge declared payloads and counts over tiny
+// actual payloads), an embedded-program Hello, Result/Error frames, the
+// cluster frames, and the pre-v3 key flag. Both fuzz targets seed from
+// it, so FuzzDeframeColumns, the target `make fuzz-smoke` runs, mutates
+// from all of it.
+func deframeCorpus(tb testing.TB, w *workloads.Workload) [][]byte {
+	var seeds [][]byte
+	// A well-formed stream: hello (registry form), event batches,
 	// goodbye, result, error.
 	var good bytes.Buffer
 	fr := NewFramer(&good, w.NumThreads)
 	if err := fr.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: 9}); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := w.NewVM(9)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	m.AttachBatch(batchFunc(func(evs []vm.Event) {
-		_ = fr.WriteEvents(evs)
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		_ = fr.WriteColumns(eb)
 	}))
 	if _, err := m.Run(4096); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	m.FlushBatch()
 	_ = fr.WriteGoodbye()
+	clean := good.Len()
 	_ = fr.WriteResult(Result{Sample: []byte(`{}`), Err: ""})
 	_ = fr.WriteError("terminal")
-	f.Add(good.Bytes())
+	g := good.Bytes()
+	seeds = append(seeds, g)
 
 	// Hello with an embedded program image.
 	var withProg bytes.Buffer
 	fp := NewFramer(&withProg, w.NumThreads)
 	if err := fp.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Program: w.Prog}); err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Add(withProg.Bytes())
+	seeds = append(seeds, withProg.Bytes())
 
-	// The same stream produced by the columnar encoder (byte-identical
-	// to the row encoder by construction — the seed is here so corpus
-	// mutation starts from frames that took the WriteColumns path too).
-	var goodCols bytes.Buffer
-	fc := NewFramer(&goodCols, w.NumThreads)
-	if err := fc.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: 9}); err != nil {
-		f.Fatal(err)
-	}
-	mc, err := w.NewVM(9)
-	if err != nil {
-		f.Fatal(err)
-	}
-	mc.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
-		_ = fc.WriteColumns(eb)
-	}))
-	if _, err := mc.Run(4096); err != nil {
-		f.Fatal(err)
-	}
-	mc.FlushBatch()
-	_ = fc.WriteGoodbye()
-	f.Add(goodCols.Bytes())
+	// The same stream ending cleanly at its goodbye.
+	seeds = append(seeds, g[:clean])
 
 	// Truncations at every interesting boundary.
-	g := good.Bytes()
 	for _, cut := range []int{1, 3, 8, 9, 12, len(g) / 2, len(g) - 1} {
 		if cut < len(g) {
-			f.Add(g[:cut])
+			seeds = append(seeds, g[:cut])
 		}
 	}
 	// Corrupted magic.
 	bad := append([]byte(nil), g...)
 	bad[0] = 'x'
-	f.Add(bad)
+	seeds = append(seeds, bad)
 	// Version skew.
 	var skew bytes.Buffer
 	fs := NewFramer(&skew, 2)
 	_ = fs.WriteHello(Hello{Version: Version + 7, Threads: 2})
-	f.Add(skew.Bytes())
+	seeds = append(seeds, skew.Bytes())
 	// Max-length abuse: tiny frame declaring a huge payload, and a
 	// legal-length frame declaring an absurd event count.
 	abuse := append([]byte(nil), Magic[:]...)
 	abuse = append(abuse, byte(FrameEvents))
 	abuse = binary.LittleEndian.AppendUint32(abuse, MaxFramePayload)
-	f.Add(abuse)
+	seeds = append(seeds, abuse)
 	count := append([]byte(nil), Magic[:]...)
 	count = append(count, byte(FrameEvents))
 	count = binary.LittleEndian.AppendUint32(count, 10)
 	count = binary.AppendUvarint(count, 1<<40) // count far beyond payload
 	count = append(count, make([]byte, 9)...)
-	f.Add(count)
+	seeds = append(seeds, count)
 	// Cluster frames (v3): a keyed hello, an assign view, and a handoff
 	// wrapping the good stream as history. The fuzz deframer never opts
 	// into handoffs, so these also pin the reject-by-default path.
@@ -116,14 +94,14 @@ func FuzzDeframe(f *testing.F) {
 		{ID: "n2", Addr: "127.0.0.1:7072"},
 	}})
 	_ = fcl.WriteHandoff(Handoff{Key: "queue-buggy/9", Origin: "n1", Epoch: 3, History: g})
-	f.Add(clu.Bytes())
+	seeds = append(seeds, clu.Bytes())
 	// A relayed hello (hop flag) and a token-carrying assign.
 	var relay bytes.Buffer
 	frl := NewFramer(&relay, 2)
 	_ = frl.WriteHello(Hello{Version: Version, Threads: 2, Workload: "queue-buggy", Key: "queue-buggy/9", Hops: 2})
 	_ = frl.WriteAssign(Assignment{Epoch: 4, RingVersion: 4, Origin: "n2", Token: "peers-0011223344556677",
 		Nodes: []NodeInfo{{ID: "n2", Addr: "127.0.0.1:7072"}}})
-	f.Add(relay.Bytes())
+	seeds = append(seeds, relay.Bytes())
 	// Key flag on a pre-v3 hello: must decode as ErrBadFrame, never as a
 	// keyed stream.
 	oldKey := append([]byte(nil), Magic[:]...)
@@ -138,7 +116,25 @@ func FuzzDeframe(f *testing.F) {
 	kp = append(kp, 'k')
 	oldKey = binary.LittleEndian.AppendUint32(oldKey, uint32(len(kp)))
 	oldKey = append(oldKey, kp...)
-	f.Add(oldKey)
+	seeds = append(seeds, oldKey)
+	return seeds
+}
+
+// FuzzDeframe throws arbitrary bytes at ReadFrame, the reader clients
+// use for control frames, and requires that it never panics, never
+// loops, and never allocates beyond the input's own size class — the
+// properties a network-facing decoder must hold against hostile peers.
+// Errors must stay inside the protocol's taxonomy, and the rows an
+// Events frame decodes into the Deframer's own batch must carry a CPU
+// within the handshake and a PC within the program.
+func FuzzDeframe(f *testing.F) {
+	w, err := workloads.ByName("queue-fixed", 1, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, s := range deframeCorpus(f, w) {
+		f.Add(s)
+	}
 
 	prog := w.Prog
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -147,8 +143,7 @@ func FuzzDeframe(f *testing.F) {
 		// A decoder over finite input must terminate: every iteration
 		// either consumes at least a header or errors out.
 		for i := 0; i <= len(data); i++ {
-			frame, err := d.ReadFrame()
-			if err != nil {
+			if _, err := d.ReadFrame(); err != nil {
 				if errors.Is(err, io.EOF) || errors.Is(err, ErrBadMagic) ||
 					errors.Is(err, ErrTruncated) || errors.Is(err, ErrVersionSkew) ||
 					errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrBadFrame) {
@@ -156,14 +151,13 @@ func FuzzDeframe(f *testing.F) {
 				}
 				t.Fatalf("error outside the taxonomy: %v", err)
 			}
-			// Decoded events must be internally consistent: CPU within
-			// the handshake bound, PC within the program.
-			for _, ev := range frame.Events {
-				if ev.CPU < 0 || ev.CPU >= w.NumThreads {
-					t.Fatalf("decoded event with cpu %d", ev.CPU)
+			eb := &d.batch
+			for i := 0; i < eb.Len(); i++ {
+				if eb.CPU[i] < 0 || int(eb.CPU[i]) >= w.NumThreads {
+					t.Fatalf("decoded event with cpu %d", eb.CPU[i])
 				}
-				if ev.PC < 0 || ev.PC >= int64(len(prog.Code)) {
-					t.Fatalf("decoded event with pc %d", ev.PC)
+				if eb.PC[i] < 0 || eb.PC[i] >= int64(len(prog.Code)) {
+					t.Fatalf("decoded event with pc %d", eb.PC[i])
 				}
 			}
 		}
@@ -171,12 +165,13 @@ func FuzzDeframe(f *testing.F) {
 	})
 }
 
-// FuzzDeframeColumns drives the columnar decode path (ReadFrameInto)
-// with arbitrary bytes. Beyond FuzzDeframe's properties — termination,
-// taxonomy-only errors, CPU/PC bounds — it checks the batch's structural
-// invariant: all columns the same length, whatever the input did. Seeds
-// add columnar-specific malformations: frames truncated inside an
-// event's column data, and a count claiming more events than decode.
+// FuzzDeframeColumns drives the columnar decode path (ReadFrameInto,
+// the served ingest path) with arbitrary bytes. Beyond FuzzDeframe's
+// properties — termination, taxonomy-only errors, CPU/PC bounds — it
+// checks the batch's structural invariant: all columns the same length,
+// whatever the input did. Its own seeds add columnar-specific
+// malformations: frames truncated inside an event's column data, and a
+// count claiming more events than decode; the shared corpus follows.
 func FuzzDeframeColumns(f *testing.F) {
 	w, err := workloads.ByName("queue-fixed", 1, 0)
 	if err != nil {
@@ -217,12 +212,17 @@ func FuzzDeframeColumns(f *testing.F) {
 	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(short)))
 	frame = append(frame, short...)
 	f.Add(frame)
+	for _, s := range deframeCorpus(f, w) {
+		f.Add(s)
+	}
 
 	prog := w.Prog
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDeframer(bytes.NewReader(data))
 		d.SetProgram(prog, w.NumThreads)
 		eb := vm.NewEventBatch(0)
+		// A decoder over finite input must terminate: every iteration
+		// either consumes at least a header or errors out.
 		for i := 0; i <= len(data); i++ {
 			frame, err := d.ReadFrameInto(eb)
 			if err != nil {

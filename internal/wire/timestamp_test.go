@@ -33,9 +33,9 @@ func TestTimestampsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sent [][]vm.Event
-	m.AttachBatch(batchFunc(func(evs []vm.Event) {
-		sent = append(sent, append([]vm.Event(nil), evs...))
-		if err := f.WriteEvents(evs); err != nil {
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		sent = append(sent, eb.AppendEvents(nil, w.Prog.Code))
+		if err := f.WriteColumns(eb); err != nil {
 			t.Fatal(err)
 		}
 	}))
@@ -60,15 +60,16 @@ func TestTimestampsRoundTrip(t *testing.T) {
 	d.SetProgram(w.Prog, fr.Hello.Threads)
 	var got [][]vm.Event
 	var stamps []uint64
+	eb := vm.NewEventBatch(0)
 	for {
-		fr, err := d.ReadFrame()
+		fr, err := d.ReadFrameInto(eb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fr.Type == FrameGoodbye {
 			break
 		}
-		got = append(got, append([]vm.Event(nil), fr.Events...))
+		got = append(got, eb.AppendEvents(nil, w.Prog.Code))
 		stamps = append(stamps, fr.SendNanos)
 	}
 	if !reflect.DeepEqual(got, sent) {
@@ -78,50 +79,6 @@ func TestTimestampsRoundTrip(t *testing.T) {
 		if s != uint64(i+1) {
 			t.Fatalf("frame %d carries stamp %d, want %d", i, s, i+1)
 		}
-	}
-}
-
-// TestTimestampsColumnarMatchesRows: both encoder entry points must
-// stamp identically — the byte streams of WriteEvents and WriteColumns
-// stay equal with timestamps negotiated, as the loopback differential
-// assumes.
-func TestTimestampsColumnarMatchesRows(t *testing.T) {
-	w, err := workloads.ByName("queue-buggy", 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(columnar bool) []byte {
-		m, err := w.NewVM(5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		f := NewFramer(&buf, w.NumThreads)
-		f.now = func() int64 { return 42 }
-		if err := f.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Workload: w.Name, Timestamps: true}); err != nil {
-			t.Fatal(err)
-		}
-		if columnar {
-			m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
-				if err := f.WriteColumns(eb); err != nil {
-					t.Fatal(err)
-				}
-			}))
-		} else {
-			m.AttachBatch(batchFunc(func(evs []vm.Event) {
-				if err := f.WriteEvents(evs); err != nil {
-					t.Fatal(err)
-				}
-			}))
-		}
-		if _, err := m.Run(1 << 22); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	rows, cols := run(false), run(true)
-	if !bytes.Equal(rows, cols) {
-		t.Fatalf("stamped streams diverge: rows %d bytes, columns %d bytes", len(rows), len(cols))
 	}
 }
 

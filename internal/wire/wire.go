@@ -454,11 +454,11 @@ func (f *Framer) WriteHandoff(h Handoff) error {
 }
 
 // Frame is one decoded frame. Exactly one payload field is meaningful,
-// selected by Type.
+// selected by Type; an Events frame's rows land in the batch passed to
+// ReadFrameInto.
 type Frame struct {
 	Type    FrameType
 	Hello   Hello      // FrameHello
-	Events  []vm.Event // FrameEvents
 	Result  Result     // FrameResult
 	Errmsg  string     // FrameError
 	Assign  Assignment // FrameAssign
@@ -471,19 +471,18 @@ type Frame struct {
 }
 
 // Deframer reads frames from one stream. Not safe for concurrent use.
-// Its event slice is reused across ReadFrame calls: consumers must
-// process (or copy) a frame's Events before the next call, mirroring the
-// vm.BatchObserver contract.
 type Deframer struct {
 	r       *bufio.Reader
 	hdr     [9]byte
 	payload []byte
 	dec     eventDecoder
+	batch   vm.EventBatch // ReadFrame's decode target for Events frames
 
-	// prog supplies instruction reconstruction for event frames:
-	// events travel as (pc, memory effects) and the decoder rebinds
-	// Instr = prog.Code[pc]. Set by SetProgram once the handshake
-	// resolves; event frames before that fail with ErrBadFrame.
+	// prog validates event frames: events travel as (pc, memory
+	// effects), and every pc must index prog.Code with flags matching
+	// its opcode, so consumers can rebind Instr = prog.Code[pc]. Set by
+	// SetProgram once the handshake resolves; event frames before that
+	// fail with ErrBadFrame.
 	prog *isa.Program
 
 	// largeResults raises the Result-frame cap to MaxResultPayload.
@@ -553,7 +552,7 @@ func NewDeframer(r io.Reader) *Deframer {
 	return &Deframer{r: bufio.NewReaderSize(r, 32<<10)}
 }
 
-// SetProgram installs the program used to reconstruct event Instrs and
+// SetProgram installs the program event frames are validated against and
 // sizes per-thread decoder state. The server calls this after resolving
 // the Hello (registry lookup or embedded image).
 func (d *Deframer) SetProgram(p *isa.Program, threads int) {
@@ -627,37 +626,20 @@ func (d *Deframer) eventsPayload() (rest []byte, sendNanos uint64, err error) {
 	return d.payload[n:], v, nil
 }
 
-// ReadFrame reads and decodes the next frame. The returned Frame's
-// Events slice is owned by the Deframer and valid only until the next
-// call. io.EOF is returned untouched at a clean frame boundary.
-func (d *Deframer) ReadFrame() (Frame, error) {
-	t, err := d.readPayload()
-	if err != nil {
-		return Frame{}, err
-	}
-	if t == FrameEvents {
-		if d.prog == nil {
-			return Frame{}, fmt.Errorf("%w: events before handshake", ErrBadFrame)
-		}
-		payload, sendNanos, err := d.eventsPayload()
-		if err != nil {
-			return Frame{}, err
-		}
-		evs, err := d.dec.decode(payload, d.prog)
-		if err != nil {
-			return Frame{}, err
-		}
-		return Frame{Type: FrameEvents, Events: evs, SendNanos: sendNanos}, nil
-	}
-	return d.decodeControl(t)
-}
+// ReadFrame reads and decodes the next frame: ReadFrameInto on a batch
+// the Deframer owns, for callers that read control frames. An Events
+// frame read this way is still validated and still advances the delta
+// context, but its rows are not returned. io.EOF is returned untouched
+// at a clean frame boundary.
+func (d *Deframer) ReadFrame() (Frame, error) { return d.ReadFrameInto(&d.batch) }
 
 // ReadFrameInto reads the next frame, decoding an Events frame's
 // payload directly into eb's columns — the served ingest path's form,
 // which never materializes per-event vm.Events. eb is reset first; on
-// an Events frame the returned Frame carries only the type and eb holds
-// the batch. Other frame types decode exactly as ReadFrame (eb stays
-// empty). On error eb's contents are unspecified.
+// an Events frame the returned Frame carries only the type and send
+// stamp, and eb holds the batch. Other frame types leave eb empty. On
+// error eb's contents are unspecified. io.EOF is returned untouched at
+// a clean frame boundary.
 func (d *Deframer) ReadFrameInto(eb *vm.EventBatch) (Frame, error) {
 	eb.Reset()
 	t, err := d.readPayload()

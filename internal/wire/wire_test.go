@@ -82,10 +82,10 @@ func TestEventsRoundTrip(t *testing.T) {
 	}
 	var sent [][]vm.Event
 	var encodedBytes int
-	m.AttachBatch(batchFunc(func(evs []vm.Event) {
-		sent = append(sent, append([]vm.Event(nil), evs...))
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		sent = append(sent, eb.AppendEvents(nil, w.Prog.Code))
 		before := buf.Len()
-		if err := f.WriteEvents(evs); err != nil {
+		if err := f.WriteColumns(eb); err != nil {
 			t.Fatal(err)
 		}
 		encodedBytes += buf.Len() - before
@@ -108,8 +108,9 @@ func TestEventsRoundTrip(t *testing.T) {
 	d.SetProgram(w.Prog, fr.Hello.Threads)
 	var got [][]vm.Event
 	var total int
+	eb := vm.NewEventBatch(0)
 	for {
-		fr, err := d.ReadFrame()
+		fr, err := d.ReadFrameInto(eb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +120,8 @@ func TestEventsRoundTrip(t *testing.T) {
 		if fr.Type != FrameEvents {
 			t.Fatalf("unexpected frame %v", fr.Type)
 		}
-		got = append(got, append([]vm.Event(nil), fr.Events...))
-		total += len(fr.Events)
+		got = append(got, eb.AppendEvents(nil, w.Prog.Code))
+		total += eb.Len()
 	}
 	if !reflect.DeepEqual(got, sent) {
 		t.Fatalf("decoded stream differs: %d batches sent, %d received", len(sent), len(got))
@@ -134,10 +135,6 @@ func TestEventsRoundTrip(t *testing.T) {
 		t.Errorf("delta encoding regressed: %.2f bytes/event (want <= 16)", perEvent)
 	}
 }
-
-type batchFunc func(evs []vm.Event)
-
-func (f batchFunc) StepBatch(evs []vm.Event) { f(evs) }
 
 func TestResultAndErrorRoundTrip(t *testing.T) {
 	d := roundTrip(t, 1, func(f *Framer) {
@@ -248,7 +245,7 @@ func TestErrorTaxonomy(t *testing.T) {
 	t.Run("events before handshake", func(t *testing.T) {
 		var buf bytes.Buffer
 		f := NewFramer(&buf, 2)
-		if err := f.WriteEvents([]vm.Event{{CPU: 0, PC: 0}}); err != nil {
+		if err := f.WriteColumns(toBatch([]vm.Event{{CPU: 0, PC: 0}})); err != nil {
 			t.Fatal(err)
 		}
 		_, err := NewDeframer(&buf).ReadFrame()
@@ -290,7 +287,7 @@ func TestErrorTaxonomy(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			f := NewFramer(&buf, 2)
-			if err := f.WriteEvents([]vm.Event{ev}); err != nil {
+			if err := f.WriteColumns(toBatch([]vm.Event{ev})); err != nil {
 				t.Fatal(err)
 			}
 			d := NewDeframer(&buf)
@@ -341,7 +338,7 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		f := NewFramer(&buf, 2)
-		if err := f.WriteEvents([]vm.Event{{Seq: 0, CPU: 0, PC: int64(len(w.Prog.Code)) + 10}}); err != nil {
+		if err := f.WriteColumns(toBatch([]vm.Event{{Seq: 0, CPU: 0, PC: int64(len(w.Prog.Code)) + 10}})); err != nil {
 			t.Fatal(err)
 		}
 		d := NewDeframer(&buf)
@@ -425,26 +422,26 @@ func TestEventsRandomRoundTrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		b := mkBatch(rng.Intn(100) + 1)
 		sent = append(sent, b)
-		if err := f.WriteEvents(b); err != nil {
+		if err := f.WriteColumns(toBatch(b)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	d := NewDeframer(&buf)
 	d.SetProgram(w.Prog, threads)
+	eb := vm.NewEventBatch(0)
 	for i, want := range sent {
-		fr, err := d.ReadFrame()
-		if err != nil {
+		if _, err := d.ReadFrameInto(eb); err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
-		if !reflect.DeepEqual(append([]vm.Event(nil), fr.Events...), want) {
+		if !reflect.DeepEqual(eb.AppendEvents(nil, w.Prog.Code), want) {
 			t.Fatalf("batch %d differs after round trip", i)
 		}
 	}
 }
 
-func TestWriteEventsRejectsForeignCPU(t *testing.T) {
+func TestWriteColumnsRejectsForeignCPU(t *testing.T) {
 	f := NewFramer(io.Discard, 2)
-	if err := f.WriteEvents([]vm.Event{{CPU: 5}}); err == nil {
+	if err := f.WriteColumns(toBatch([]vm.Event{{CPU: 5}})); err == nil {
 		t.Fatal("want error for cpu outside thread count")
 	}
 }

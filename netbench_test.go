@@ -29,35 +29,6 @@ import (
 	"repro/internal/workloads"
 )
 
-// recordBatches replays a workload and keeps its event batches at the
-// VM's own ring boundaries — the exact frames a client would send.
-func recordBatches(b *testing.B, name string, seed uint64) (*workloads.Workload, [][]vm.Event, int) {
-	b.Helper()
-	w, err := workloads.ByName(name, 1, seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := w.NewVM(seed)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var batches [][]vm.Event
-	events := 0
-	m.AttachBatch(batchCollector(func(evs []vm.Event) {
-		batches = append(batches, append([]vm.Event(nil), evs...))
-		events += len(evs)
-	}))
-	if _, err := m.Run(1 << 24); err != nil {
-		b.Fatal(err)
-	}
-	return w, batches, events
-}
-
-// batchCollector adapts a function to vm.BatchObserver.
-type batchCollector func(evs []vm.Event)
-
-func (f batchCollector) StepBatch(evs []vm.Event) { f(evs) }
-
 // recordColumns replays a workload and keeps its batches in columnar
 // form at the VM's own ring boundaries.
 func recordColumns(b *testing.B, name string, seed uint64) (*workloads.Workload, []*vm.EventBatch, int) {
@@ -91,7 +62,7 @@ func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); retur
 // BenchmarkWireEncode measures the delta codec's cost to frame one full
 // execution (hello + every event batch).
 func BenchmarkWireEncode(b *testing.B) {
-	w, batches, events := recordBatches(b, "queue-buggy", 1)
+	w, batches, events := recordColumns(b, "queue-buggy", 1)
 	h := wire.Hello{Version: wire.Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: 1}
 	var cw countWriter
 	f := wire.NewFramer(&cw, w.NumThreads)
@@ -101,8 +72,8 @@ func BenchmarkWireEncode(b *testing.B) {
 		if err := f.WriteHello(h); err != nil {
 			b.Fatal(err)
 		}
-		for _, bt := range batches {
-			if err := f.WriteEvents(bt); err != nil {
+		for _, eb := range batches {
+			if err := f.WriteColumns(eb); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -112,57 +83,9 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ReportMetric(float64(events), "events/op")
 }
 
-// BenchmarkWireDecode measures deframing the same execution back into
-// event batches, instruction rebinding included.
-func BenchmarkWireDecode(b *testing.B) {
-	w, batches, events := recordBatches(b, "queue-buggy", 1)
-	var buf bytes.Buffer
-	f := wire.NewFramer(&buf, w.NumThreads)
-	h := wire.Hello{Version: wire.Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: 1}
-	if err := f.WriteHello(h); err != nil {
-		b.Fatal(err)
-	}
-	for _, bt := range batches {
-		if err := f.WriteEvents(bt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := f.WriteGoodbye(); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := wire.NewDeframer(bytes.NewReader(raw))
-		decoded := 0
-		for {
-			fr, err := d.ReadFrame()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			switch fr.Type {
-			case wire.FrameHello:
-				d.SetProgram(w.Prog, w.NumThreads)
-			case wire.FrameEvents:
-				decoded += len(fr.Events)
-			}
-		}
-		if decoded != events {
-			b.Fatalf("decoded %d events, want %d", decoded, events)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(events), "events/op")
-}
-
-// BenchmarkWireDecodeColumns measures the columnar decode path: the
-// same stream as BenchmarkWireDecode deframed with ReadFrameInto into
-// one reused batch, no row materialization. The delta over
-// BenchmarkWireDecode is what per-event materialization used to cost.
+// BenchmarkWireDecodeColumns measures deframing the same execution
+// back into event batches: ReadFrameInto into one reused batch,
+// validation included, no row materialization.
 func BenchmarkWireDecodeColumns(b *testing.B) {
 	w, batches, events := recordColumns(b, "queue-buggy", 1)
 	var buf bytes.Buffer
@@ -211,7 +134,7 @@ func BenchmarkWireDecodeColumns(b *testing.B) {
 
 // BenchmarkServerIngest measures the sharded engine end to end: eight
 // concurrent streams of a fixed workload replay, ingested through the
-// direct stream API (the session layer's decode cost is BenchmarkWireDecode),
+// direct stream API (the session layer's decode cost is BenchmarkWireDecodeColumns),
 // each stream running both detectors on its owning shard. The fixed
 // stream count keeps work per op constant across shard counts, so ns/op
 // directly exposes the scaling: 4 shards must beat 1 shard by at least
