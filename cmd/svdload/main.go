@@ -243,7 +243,6 @@ func main() {
 			log.Error("cluster report decode", "addr", *reportAddr, "status", resp.StatusCode, "err", err)
 			os.Exit(1)
 		}
-		report.SortSamples(wants)
 		local := report.MergeSamples(wants)
 		gotJS, _ := json.Marshal(cr.Merged)
 		wantJS, _ := json.Marshal(local)

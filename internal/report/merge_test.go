@@ -187,3 +187,50 @@ func TestMergeSamplesEmpty(t *testing.T) {
 		t.Errorf("nil entries counted: %d samples, want 1", m.Samples)
 	}
 }
+
+// TestMergeSamplesScaleTie: one workload and seed at two scales are two
+// different samples that agree on (Workload, Seed). Both carry
+// witnesses, so if the sort key stopped there their order would stay
+// the arrival order and the capped witness fold would differ between
+// arrivals. Every permutation of a set containing the pair, merged
+// without any caller-side sort, must give byte-identical JSON.
+func TestMergeSamplesScaleTie(t *testing.T) {
+	var tie []*Sample
+	for _, scale := range []int{1, 2} {
+		w, err := workloads.ByName("queue-buggy", scale, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Run(w, 3, Options{Witness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.SVDWitnesses)+len(s.FRDWitnesses) == 0 {
+			t.Fatalf("queue-buggy scale %d has no witnesses; the tie would not show", scale)
+		}
+		tie = append(tie, s)
+	}
+	if tie[0].Instructions == tie[1].Instructions {
+		t.Fatalf("scales 1 and 2 ran the same %d instructions", tie[0].Instructions)
+	}
+	samples := append(mergeTestSamples(t), tie...)
+	samples = append(samples, nil)
+	want := mergedJSON(t, samples)
+
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 16; trial++ {
+		shuffled := append([]*Sample(nil), samples...)
+		rng.Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		if got := mergedJSON(t, shuffled); got != want {
+			t.Fatalf("trial %d: merge of a permuted sample set differs", trial)
+		}
+	}
+
+	pair := []*Sample{tie[1], tie[0]}
+	SortSamples(pair)
+	if pair[0] != tie[0] {
+		t.Errorf("SortSamples kept scale 2 (%d instructions) before scale 1 (%d)", tie[1].Instructions, tie[0].Instructions)
+	}
+}

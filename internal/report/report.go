@@ -202,9 +202,10 @@ type MergedStats struct {
 	FRD     frd.Stats `json:"frd"`
 
 	// Witnesses collects the samples' flight-recorder witnesses (SVD's
-	// first, then FRD's, in sample order), capped at MaxMergedWitnesses.
-	// The per-sample slices remain complete; this is the run-level digest
-	// the JSON emitters attach. Empty unless Options.Witness.
+	// first, then FRD's, in SortSamples order), capped at
+	// MaxMergedWitnesses. The per-sample slices remain complete; this is
+	// the run-level digest the JSON emitters attach. Empty unless
+	// Options.Witness.
 	Witnesses []obs.Witness `json:"witnesses,omitempty"`
 }
 
@@ -212,33 +213,47 @@ type MergedStats struct {
 // set; full per-violation witness lists stay on the individual samples.
 const MaxMergedWitnesses = 256
 
-// SortSamples orders samples by (Workload, Seed), nils first. The
-// merged digest's witness section is a capped, order-sensitive fold, so
-// two nodes that merge the same sample set in different arrival orders
-// would disagree byte-for-byte; sorting both sides before MergeSamples
-// is what makes a cluster's scatter-gather /report reproducible and
-// comparable against a single-process run.
+// SortSamples orders samples by workload, seed, instruction count
+// (scale changes it, so one workload and seed at two scales stay
+// apart), SVD violation count and FRD race count, nils first. The
+// merged digest's witness section is a capped, order-sensitive fold;
+// MergeSamples sorts its input with this key, which is what makes a
+// cluster's scatter-gather /report reproducible and comparable against
+// a single-process run. The key reads counters only, never witnesses:
+// samples that tie on it come from identically recorded streams, which
+// tie often and merge the same in either order.
 func SortSamples(samples []*Sample) {
 	sort.SliceStable(samples, func(i, j int) bool {
 		a, b := samples[i], samples[j]
 		if a == nil || b == nil {
 			return a == nil && b != nil
 		}
-		if a.Workload != b.Workload {
+		switch {
+		case a.Workload != b.Workload:
 			return a.Workload < b.Workload
+		case a.Seed != b.Seed:
+			return a.Seed < b.Seed
+		case a.Instructions != b.Instructions:
+			return a.Instructions < b.Instructions
+		case a.SVDStats.Violations != b.SVDStats.Violations:
+			return a.SVDStats.Violations < b.SVDStats.Violations
 		}
-		return a.Seed < b.Seed
+		return a.FRDStats.Races < b.FRDStats.Races
 	})
 }
 
-// MergeSamples folds every sample's detector counters together. Nil
-// samples (skipped runs) are ignored. Witnesses enter the capped digest
-// as deep copies: a Witness struct copy would share its Inputs/Outputs/
-// Window backing arrays with the sample, and the digest is exactly the
-// view handed to concurrent readers (the detection server's query path
+// MergeSamples folds every sample's detector counters together, in
+// SortSamples order (it sorts a copy of its input), so the digest is a
+// function of the sample set, not of arrival order. Nil samples
+// (skipped runs) are ignored. Witnesses enter the capped digest as deep
+// copies: a Witness struct copy would share its Inputs/Outputs/Window
+// backing arrays with the sample, and the digest is exactly the view
+// handed to concurrent readers (the detection server's query path
 // serves it while shards are still draining), so aliasing here was a
 // read/write race waiting for its first -race run.
 func MergeSamples(samples []*Sample) MergedStats {
+	samples = append([]*Sample(nil), samples...)
+	SortSamples(samples)
 	var m MergedStats
 	for _, s := range samples {
 		if s == nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,10 +188,10 @@ func TestClusterHandoffDifferential(t *testing.T) {
 
 // TestClusterHandoffTimestamps hands off a stream that negotiated send
 // stamps: after the splice the live tail's Events frames still open
-// with a stamp, which the new owner's connection deframer must keep
-// stripping (AdoptCodec carries the flag) — otherwise every post-
-// handoff frame decodes the stamp as event data. The sample must stay
-// byte-identical and the result must still carry a latency digest.
+// with a stamp, which the new owner must keep stripping (the deframer
+// that decoded the history's Hello decodes the tail) — otherwise every
+// post-handoff frame decodes the stamp as event data. The sample must
+// stay byte-identical and the result must still carry a latency digest.
 func TestClusterHandoffTimestamps(t *testing.T) {
 	const name = "queue-buggy"
 	const seed = uint64(9)
@@ -261,6 +262,229 @@ func TestClusterHandoffTimestamps(t *testing.T) {
 	}
 	if n := len(csB.Engine().Samples()); n != 1 {
 		t.Errorf("owner published %d samples, want 1", n)
+	}
+}
+
+// TestClusterHandoffChain moves one stream twice. A hands it to B after
+// frame 1; B, serving it from A's shipped history plus the live tail A
+// relays, hands it on to C once it has ingested a live frame. The
+// stream negotiated send stamps, so the history/tail splice is crossed
+// twice. The sample relayed back through B and A must match the
+// in-process run and still carry its latency digest, and only C
+// publishes.
+func TestClusterHandoffChain(t *testing.T) {
+	const name = "queue-buggy"
+	const seed = uint64(9)
+	w, err := workloads.ByName(name, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, m := collectEvents(t, w, seed)
+	want := inProcess(t, name, seed)
+	const cut = 7
+	if len(evs) <= cut+2*vm.DefaultBatchCap {
+		t.Fatalf("workload too small for two moves: %d events", len(evs))
+	}
+
+	csB, lnB := startClusterNode(t, "nB",
+		cluster.NewView(1, []cluster.Member{{ID: "nB", Addr: "unused"}}), ClusterOptions{})
+	csC, lnC := startClusterNode(t, "nC",
+		cluster.NewView(1, []cluster.Member{{ID: "nC", Addr: "unused"}}), ClusterOptions{})
+	eA := New(Options{Shards: 2, NodeID: "nA"})
+	defer shutdown(t, eA)
+	rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
+	csA := NewClusterServer(eA, rtA, ClusterOptions{})
+	cli, srv := net.Pipe()
+	sessionDone := make(chan struct{})
+	go func() { csA.ServeConn(srv); close(sessionDone) }()
+
+	f := wire.NewFramer(cli, w.NumThreads)
+	d := wire.NewDeframer(cli)
+	d.ExpectResults()
+	if err := f.WriteHello(wire.Hello{
+		Version: wire.Version, Threads: w.NumThreads, Workload: name,
+		Scale: 1, Seed: seed, Witness: true, Timestamps: true, Key: "queue-buggy/chain/9",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRows(f, evs[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "frame 1 ingest on A", func() bool { return eA.Counters().Events >= cut })
+	rtA.ApplyAssignment(cluster.NewView(2,
+		[]cluster.Member{{ID: "nB", Addr: lnB.Addr().String()}}).Assignment("test"))
+
+	// Frame 2 crosses A's boundary; B replays frame 1 and ingests it live.
+	live := cut + vm.DefaultBatchCap
+	if err := writeRows(f, evs[cut:live]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "live frame ingest on B", func() bool { return csB.Engine().Counters().Events >= uint64(live) })
+	csB.Router().ApplyAssignment(cluster.NewView(3,
+		[]cluster.Member{{ID: "nC", Addr: lnC.Addr().String()}}).Assignment("test"))
+
+	for i := live; i < len(evs); i += vm.DefaultBatchCap {
+		j := min(i+vm.DefaultBatchCap, len(evs))
+		if err := writeRows(f, evs[i:j]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.WriteGoodbye(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := d.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Type != wire.FrameResult || fr.Result.Err != "" {
+		t.Fatalf("bad result: type=%s err=%q", fr.Type, fr.Result.Err)
+	}
+	if len(fr.Result.Latency) == 0 {
+		t.Error("timestamps stream lost its latency digest across two handoffs")
+	}
+	var got report.Sample
+	if err := json.Unmarshal(fr.Result.Sample, &got); err != nil {
+		t.Fatal(err)
+	}
+	got.Erroneous, got.ErrorDetail = w.Check(m)
+	diffSamples(t, "chain handoff", &got, want)
+	cli.Close()
+	<-sessionDone
+
+	for _, n := range []struct {
+		id      string
+		cs      *ClusterServer
+		out, in uint64
+		samples int
+	}{
+		{"nA", csA, 1, 0, 0},
+		{"nB", csB, 1, 1, 0},
+		{"nC", csC, 0, 1, 1},
+	} {
+		waitFor(t, n.id+" handoffs settled", func() bool { return n.cs.Router().Snapshot().HandoffsInFlight == 0 })
+		if s := n.cs.Router().Snapshot(); s.HandoffsOut != n.out || s.HandoffsIn != n.in {
+			t.Errorf("%s handoffs out=%d in=%d, want %d/%d", n.id, s.HandoffsOut, s.HandoffsIn, n.out, n.in)
+		}
+		if got := len(n.cs.Engine().Samples()); got != n.samples {
+			t.Errorf("%s published %d samples, want %d", n.id, got, n.samples)
+		}
+	}
+}
+
+// TestClusterHandoffStalledPeer: the key moves to a peer that accepts
+// the handoff connection and never answers. The Assign exchange's
+// deadline must end the wait, mark the peer down and keep the stream
+// local, where it finishes with the in-process sample. The test bounds
+// itself, so a stream that stays blocked fails it instead of hanging.
+func TestClusterHandoffStalledPeer(t *testing.T) {
+	const name = "queue-buggy"
+	const seed = uint64(9)
+	w, err := workloads.ByName(name, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, m := collectEvents(t, w, seed)
+	want := inProcess(t, name, seed)
+
+	// The stalled peer accepts and holds connections, never writing.
+	stalled, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := stalled.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	release := func() {
+		stalled.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	}
+	defer release()
+
+	eA := New(Options{Shards: 2, NodeID: "nA"})
+	defer shutdown(t, eA)
+	rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
+	csA := NewClusterServer(eA, rtA, ClusterOptions{})
+	moved := cluster.NewView(2, []cluster.Member{
+		{ID: "nA", Addr: "unused"}, {ID: "nS", Addr: stalled.Addr().String()},
+	})
+	key := keyOwnedBy(t, moved, "nS")
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	go csA.ServeConn(srv)
+
+	const cut = 7
+	f := wire.NewFramer(cli, w.NumThreads)
+	if err := f.WriteHello(wire.Hello{
+		Version: wire.Version, Threads: w.NumThreads, Workload: name,
+		Scale: 1, Seed: seed, Witness: true, Key: key,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRows(f, evs[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "frame 1 ingest", func() bool { return eA.Counters().Events >= cut })
+	rtA.ApplyAssignment(moved.Assignment("test"))
+
+	type outcome struct {
+		fr  wire.Frame
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		for i := cut; i < len(evs); i += vm.DefaultBatchCap {
+			if err := writeRows(f, evs[i:min(i+vm.DefaultBatchCap, len(evs))]); err != nil {
+				done <- outcome{err: err}
+				return
+			}
+		}
+		if err := f.WriteGoodbye(); err != nil {
+			done <- outcome{err: err}
+			return
+		}
+		d := wire.NewDeframer(cli)
+		d.ExpectResults()
+		fr, err := d.ReadFrame()
+		done <- outcome{fr, err}
+	}()
+	var res outcome
+	select {
+	case res = <-done:
+	case <-time.After(3 * peerTimeout):
+		release() // unblock the session so the deferred cleanup can finish
+		t.Fatalf("stream still blocked %v after its key moved to a silent peer; router %+v", 3*peerTimeout, rtA.Snapshot())
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	if res.fr.Type != wire.FrameResult || res.fr.Result.Err != "" {
+		t.Fatalf("bad result: type=%s err=%q", res.fr.Type, res.fr.Result.Err)
+	}
+	var got report.Sample
+	if err := json.Unmarshal(res.fr.Result.Sample, &got); err != nil {
+		t.Fatal(err)
+	}
+	got.Erroneous, got.ErrorDetail = w.Check(m)
+	diffSamples(t, "stalled-peer stream", &got, want)
+	if s := rtA.Snapshot(); s.MembersDown != 1 || s.HandoffsOut != 0 {
+		t.Errorf("router after stalled handoff: %+v", s)
+	}
+	if n := len(eA.Samples()); n != 1 {
+		t.Errorf("origin published %d samples, want 1", n)
 	}
 }
 

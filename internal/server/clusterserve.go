@@ -16,18 +16,20 @@ package server
 //     exactly (the detectors are deterministic), after which the live
 //     tail of the stream continues from the relaying origin.
 //
-// Handoff is initiated between frames by the session that owns the
-// client connection: after each Events frame it re-checks ownership,
-// and when the view has moved the key elsewhere it ships the recorded
-// history, releases the local stream (no sample, no anchors — the new
-// owner publishes them), and turns into a relay for the rest of the
-// stream. Nothing is handed off mid-frame, so the boundary is always a
-// frame boundary and the concatenated bytes the new owner sees are a
-// valid wire stream — the same property the journal's replay path
-// proves.
+// Every stream this node serves runs through Engine.serveStream, the
+// loop a standalone daemon uses. A keyed stream hands it a check that
+// runs on each Events frame before the frame is journaled and ingested:
+// the frame joins the stream's recorded history, unless the view has
+// moved the key elsewhere — then the check ships the history, releases
+// the local stream (no sample, no anchors — the new owner publishes
+// them), and turns the session into a relay for the rest of the stream.
+// Nothing is handed off mid-frame, so the boundary is always a frame
+// boundary and the concatenated bytes the new owner sees are a valid
+// wire stream — the same property the journal's replay path proves —
+// which is how the receiver reads them: one stream through one
+// deframer, history first.
 
 import (
-	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -39,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/journal"
 	"repro/internal/report"
 	"repro/internal/vm"
 	"repro/internal/wire"
@@ -60,6 +61,11 @@ const DefaultHistoryLimit = 8 << 20
 // same policy the unreachable-owner path uses.
 const maxStreamHops = 3
 
+// peerTimeout bounds a peer dial and the Assign exchange after it (for
+// a handoff, up to the committed Handoff frame), so a peer that accepts
+// a connection and never answers cannot stall a stream.
+const peerTimeout = 5 * time.Second
+
 // ClusterOptions tune a ClusterServer.
 type ClusterOptions struct {
 	// HistoryLimit caps per-stream history buffers; <= 0 means
@@ -75,7 +81,7 @@ type ClusterOptions struct {
 	PeerToken string
 
 	// Dial opens a wire connection to a peer; nil means TCP with a
-	// 5-second timeout. Tests inject pipes here.
+	// peerTimeout (5 s) timeout. Tests inject pipes here.
 	Dial func(addr string) (net.Conn, error)
 }
 
@@ -105,7 +111,7 @@ func NewClusterServer(e *Engine, rt *cluster.Router, opts ClusterOptions) *Clust
 	dial := opts.Dial
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 5*time.Second)
+			return net.DialTimeout("tcp", addr, peerTimeout)
 		}
 	}
 	e.clusterRt = rt
@@ -204,129 +210,29 @@ func (cs *ClusterServer) ServeConn(conn net.Conn) {
 	}
 }
 
-// serveLocal runs one owned stream on this node — serveStream plus the
-// history recording and between-frame ownership checks handoff needs.
+// serveLocal serves one stream on this node through serveStream. hello
+// has just been read from d. A keyed stream records its frame history
+// and re-checks ownership on every Events frame before it is journaled
+// and ingested; when the view has moved the key elsewhere, tryHandoff
+// ships the history and the session becomes a relay. A keyless stream
+// can never be handed off, so it records nothing.
 func (cs *ClusterServer) serveLocal(cw io.Writer, d *wire.Deframer, f *wire.Framer, hello wire.Hello) error {
-	e := cs.eng
-	st, err := e.OpenStream(hello, hello.Key)
-	if err != nil {
-		return err
+	if hello.Key == "" {
+		return cs.eng.serveStream(d, f, hello, "", nil)
 	}
-	d.SetProgram(st.w.Prog, st.w.NumThreads)
 	hist := cluster.NewHistory(cs.historyLimit)
-	hdr, payload := d.RawFrame()
-	hist.Append(hdr, payload)
-	jw := e.opts.Journal
-	if jw != nil {
-		if _, jerr := jw.Append(journal.Meta{Kind: journal.KindHello, Stream: st.id}, hdr, payload); jerr != nil {
-			e.opts.Logger.Warn("journal append failed; stream unjournaled", "stream", st.id, "err", jerr)
-			jw = nil
+	hist.Append(d.RawFrame())
+	return cs.eng.serveStream(d, f, hello, hello.Key, func(st *Stream, eb *vm.EventBatch, hdr, payload []byte) (bool, error) {
+		if !hist.Sticky() && !cs.rt.Owns(hello.Key) {
+			if done, err := cs.tryHandoff(cw, d, st, hist, eb, hdr, payload); done {
+				return true, err
+			}
+			// Owner unreachable or the key routed back here after a
+			// MarkDown: the stream stays local, next frame re-checks.
 		}
-	}
-	return cs.ingestLoop(cw, d, d, f, st, hist, jw)
-}
-
-// ingestLoop drives one stream to completion. d is the deframer to read
-// next; live is the connection's deframer. They differ only during a
-// handoff replay, where d drains the transferred history first — on its
-// clean EOF the loop switches to live and continues with the frames the
-// origin relays. Ownership is re-checked after every live Events frame;
-// replayed frames never trigger a handoff (the replay must land the
-// state somewhere before it can move again — the first live frame
-// re-checks).
-func (cs *ClusterServer) ingestLoop(cw io.Writer, d, live *wire.Deframer, f *wire.Framer, st *Stream, hist *cluster.History, jw *journal.Writer) error {
-	e := cs.eng
-	closed := false
-	defer func() {
-		if !closed {
-			st.Abort()
-		}
-	}()
-	for {
-		eb := st.GetBatch()
-		fr, err := d.ReadFrameInto(eb)
-		if err != nil {
-			st.PutBatch(eb)
-			if errors.Is(err, io.EOF) {
-				if d != live {
-					// History replayed; the live tail's deltas continue
-					// from the last replayed frame, so the connection's
-					// deframer takes over the codec context with it.
-					live.AdoptCodec(d)
-					d = live
-					continue
-				}
-				return fmt.Errorf("%w: connection closed mid-stream", wire.ErrTruncated)
-			}
-			return err
-		}
-		switch fr.Type {
-		case wire.FrameEvents:
-			st.NoteWireBytes(d.LastFrameBytes())
-			hdr, payload := d.RawFrame()
-			if d == live && st.key != "" && !hist.Sticky() && !cs.rt.Owns(st.key) {
-				done, herr := cs.tryHandoff(cw, live, st, hist, eb, hdr, payload)
-				if done {
-					closed = true
-					return herr
-				}
-				// Owner unreachable or the key routed back here after a
-				// MarkDown: the stream stays local, next frame re-checks.
-			}
-			hist.Append(hdr, payload)
-			if jw != nil {
-				var first, last uint64
-				if n := eb.Len(); n > 0 {
-					first, last = eb.Seq[0], eb.Seq[n-1]
-				}
-				loc, jerr := jw.Append(journal.Meta{
-					Kind: journal.KindEvents, Stream: st.id, FirstSeq: first, LastSeq: last,
-				}, hdr, payload)
-				if jerr == nil {
-					st.IngestBatchJournaled(eb, fr.SendNanos, loc)
-					continue
-				}
-				e.opts.Logger.Warn("journal append failed; stream unjournaled", "stream", st.id, "err", jerr)
-				jw = nil
-			}
-			st.IngestBatchAt(eb, fr.SendNanos)
-		case wire.FrameGoodbye:
-			st.PutBatch(eb)
-			if jw != nil {
-				hdr, payload := d.RawFrame()
-				if _, jerr := jw.Append(journal.Meta{Kind: journal.KindGoodbye, Stream: st.id}, hdr, payload); jerr != nil {
-					jw = nil
-				}
-			}
-			closed = true
-			sample, serr := st.Close()
-			res := wire.Result{}
-			if serr != nil {
-				res.Err = serr.Error()
-				if jw != nil {
-					_, _ = jw.Append(journal.Meta{Kind: journal.KindError, Stream: st.id}, nil, []byte(res.Err))
-				}
-			} else {
-				data, err := json.Marshal(sample)
-				if err != nil {
-					return fmt.Errorf("server: encode result: %w", err)
-				}
-				res.Sample = data
-				if jw != nil {
-					_, _ = jw.Append(journal.Meta{Kind: journal.KindResult, Stream: st.id}, nil, data)
-				}
-			}
-			if lr := st.Latency(); lr != nil {
-				if data, err := json.Marshal(lr); err == nil {
-					res.Latency = data
-				}
-			}
-			return f.WriteResult(res)
-		default:
-			st.PutBatch(eb)
-			return fmt.Errorf("%w: unexpected %s frame inside a stream", wire.ErrBadFrame, fr.Type)
-		}
-	}
+		hist.Append(hdr, payload)
+		return false, nil
+	})
 }
 
 // tryHandoff attempts to move the stream to the key's current owner.
@@ -342,41 +248,21 @@ func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Strea
 	if !ok || owner.ID == cs.rt.Self() {
 		return false, nil
 	}
-	peer, err := cs.dial(owner.Addr)
-	if err != nil {
-		cs.rt.MarkDown(owner.ID)
-		return false, nil
-	}
-	pf := wire.NewFramer(peer, 1)
 	// Authenticate before shipping anything: the owner unlocks Handoff
 	// only after a token-valid Assign, and its reply doubles as
-	// anti-entropy — if it knows a newer view, adopt it and re-check
-	// that this peer still owns the key before committing the transfer.
-	pd := wire.NewDeframer(peer)
-	pd.ExpectAssigns()
-	if err := pf.WriteAssign(cs.assignment()); err != nil {
-		peer.Close()
-		cs.rt.MarkDown(owner.ID)
+	// anti-entropy — if it knows a newer view, re-check that this peer
+	// still owns the key before committing the transfer.
+	peer, pd, changed, err := cs.exchange(owner)
+	if err != nil {
 		return false, nil
 	}
-	fr, err := pd.ReadFrame()
-	if err != nil || fr.Type != wire.FrameAssign {
-		peer.Close()
-		cs.rt.MarkDown(owner.ID)
-		return false, nil
-	}
-	if !cs.tokenOK(fr.Assign.Token) {
-		// Reachable but foreign — a config error, not a death. Keep the
-		// stream local and leave the member up.
-		peer.Close()
-		return false, nil
-	}
-	if _, changed := cs.rt.ApplyAssignment(fr.Assign); changed {
+	if changed {
 		if now, ok := cs.rt.Owner(st.key); !ok || now.ID != owner.ID {
 			peer.Close()
 			return false, nil // next frame re-checks under the new view
 		}
 	}
+	pf := wire.NewFramer(peer, 1)
 	v := cs.rt.View()
 	h := wire.Handoff{Key: st.key, Origin: cs.rt.Self(), Epoch: v.Epoch, History: hist.Bytes()}
 	if err := pf.WriteHandoff(h); err != nil {
@@ -393,8 +279,10 @@ func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Strea
 	}
 	// Committed: the new owner holds the history. Drain the local
 	// detectors (their state is now redundant — replay rebuilds it
-	// exactly) and become a relay for the rest of the stream.
+	// exactly) and become a relay for the rest of the stream, which,
+	// like a forwarded stream's relay, runs without a deadline.
 	defer peer.Close()
+	_ = peer.SetDeadline(time.Time{})
 	cs.rt.NoteHandoffOut()
 	cs.rt.HandoffStarted()
 	defer cs.rt.HandoffDone()
@@ -485,47 +373,31 @@ func (cs *ClusterServer) relayFrames(d *wire.Deframer, cw io.Writer, peer net.Co
 	}
 }
 
-// receiveHandoff adopts a stream transferred from a peer: replay the
-// shipped history through fresh detectors (journaling it, so this
-// node's journal holds the complete stream), then continue with the
-// live frames the origin relays on the same connection. The Result goes
-// back to the origin, which relays it to the client.
+// receiveHandoff adopts a stream transferred from a peer. The shipped
+// history goes in front of the rest of the connection, so the history
+// and the live tail the origin relays behind it are one wire stream
+// read through one deframer — the codec context, Timestamps framing
+// included, runs unbroken from the Hello to the Goodbye. serveLocal
+// then replays the history through fresh detectors (journaling it, so
+// this node's journal holds the complete stream) and continues with the
+// tail; its ownership check runs on replayed frames too, so a stream
+// whose key moves again, even mid-replay, is handed on at once with the
+// same byte sequence (chain handoff). The Result goes back to the
+// origin, which relays it to the client.
 func (cs *ClusterServer) receiveHandoff(cw io.Writer, d *wire.Deframer, f *wire.Framer, h wire.Handoff) error {
 	cs.rt.NoteHandoffIn()
 	cs.rt.HandoffStarted()
 	defer cs.rt.HandoffDone()
 
-	hd := wire.NewDeframer(bytes.NewReader(h.History))
-	fr, err := hd.ReadFrame()
+	d.Prepend(h.History)
+	fr, err := d.ReadFrame()
 	if err != nil {
 		return fmt.Errorf("cluster: handoff history from %s: %w", h.Origin, err)
 	}
 	if fr.Type != wire.FrameHello {
 		return fmt.Errorf("%w: handoff history must start with a hello, got %s", wire.ErrBadFrame, fr.Type)
 	}
-	e := cs.eng
-	st, err := e.OpenStream(fr.Hello, fr.Hello.Key)
-	if err != nil {
-		return err
-	}
-	// Only the replay deframer gets the program here: the connection's
-	// deframer adopts the replay's codec context (program included) when
-	// the history runs out, because the live tail's deltas continue from
-	// the last replayed frame.
-	hd.SetProgram(st.w.Prog, st.w.NumThreads)
-	// A fresh history wraps the incoming bytes, so the stream can hand
-	// off again if the view moves again (chain handoff).
-	hist := cluster.NewHistory(cs.historyLimit)
-	hdr, payload := hd.RawFrame()
-	hist.Append(hdr, payload)
-	jw := e.opts.Journal
-	if jw != nil {
-		if _, jerr := jw.Append(journal.Meta{Kind: journal.KindHello, Stream: st.id}, hdr, payload); jerr != nil {
-			e.opts.Logger.Warn("journal append failed; stream unjournaled", "stream", st.id, "err", jerr)
-			jw = nil
-		}
-	}
-	return cs.ingestLoop(cw, hd, d, f, st, hist, jw)
+	return cs.serveLocal(cw, d, f, fr.Hello)
 }
 
 // writeRaw emits one raw frame (header then payload) to w.
@@ -541,45 +413,56 @@ func writeRaw(w io.Writer, hdr, payload []byte) error {
 	return nil
 }
 
-// ProbePeer dials one peer and exchanges membership views — failure
-// detector and anti-entropy in a single round trip. An unreachable or
-// unresponsive peer is marked down; a reachable peer's newer view is
-// adopted (and it adopts ours symmetrically on its side).
+// exchange dials peer m and runs the Assign exchange: send this node's
+// view with the peer token, read the peer's view, check its token, and
+// adopt the view when it is newer. The connection carries a peerTimeout
+// deadline, so a peer that accepts but never answers fails like an
+// unreachable one: any dial, write, read or protocol failure marks m
+// down. A token mismatch leaves m up — something answered, just not a
+// member of this cluster, which is a config error to surface, not a
+// death. On success the caller owns the connection, its deadline still
+// set, and the deframer that read the reply (it may hold buffered
+// bytes); changed reports whether the peer's view was adopted.
+func (cs *ClusterServer) exchange(m cluster.Member) (conn net.Conn, d *wire.Deframer, changed bool, err error) {
+	conn, err = cs.dial(m.Addr)
+	if err != nil {
+		cs.rt.MarkDown(m.ID)
+		return nil, nil, false, err
+	}
+	_ = conn.SetDeadline(time.Now().Add(peerTimeout))
+	d = wire.NewDeframer(conn)
+	d.ExpectAssigns()
+	var fr wire.Frame
+	if err = wire.NewFramer(conn, 1).WriteAssign(cs.assignment()); err == nil {
+		fr, err = d.ReadFrame()
+	}
+	if err == nil && fr.Type != wire.FrameAssign {
+		err = fmt.Errorf("%w: expected assign from %s, got %s", wire.ErrBadFrame, m.ID, fr.Type)
+	}
+	if err != nil {
+		conn.Close()
+		cs.rt.MarkDown(m.ID)
+		return nil, nil, false, err
+	}
+	if !cs.tokenOK(fr.Assign.Token) {
+		conn.Close()
+		return nil, nil, false, fmt.Errorf("cluster: peer token mismatch from %q at %s", fr.Assign.Origin, m.Addr)
+	}
+	_, changed = cs.rt.ApplyAssignment(fr.Assign)
+	return conn, d, changed, nil
+}
+
+// ProbePeer exchanges membership views with one peer — failure detector
+// and anti-entropy in a single round trip (see exchange).
 func (cs *ClusterServer) ProbePeer(m cluster.Member) error {
 	if m.ID == cs.rt.Self() {
 		return nil
 	}
-	conn, err := cs.dial(m.Addr)
+	conn, _, _, err := cs.exchange(m)
 	if err != nil {
-		cs.rt.MarkDown(m.ID)
 		return err
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	f := wire.NewFramer(conn, 1)
-	d := wire.NewDeframer(conn)
-	d.ExpectAssigns()
-	if err := f.WriteAssign(cs.assignment()); err != nil {
-		cs.rt.MarkDown(m.ID)
-		return err
-	}
-	fr, err := d.ReadFrame()
-	if err != nil {
-		cs.rt.MarkDown(m.ID)
-		return err
-	}
-	if fr.Type != wire.FrameAssign {
-		cs.rt.MarkDown(m.ID)
-		return fmt.Errorf("%w: probe expected assign, got %s", wire.ErrBadFrame, fr.Type)
-	}
-	if !cs.tokenOK(fr.Assign.Token) {
-		// Something answered, but not a member of this cluster: adopt
-		// nothing. Leave the member up — demotion is for unreachable
-		// nodes, and a token mismatch is a config error to surface.
-		return fmt.Errorf("cluster: peer token mismatch from %q at %s", fr.Assign.Origin, m.Addr)
-	}
-	cs.rt.ApplyAssignment(fr.Assign)
-	return nil
+	return conn.Close()
 }
 
 // ProbePeers probes every current member once.
@@ -597,10 +480,10 @@ type ClusterNode struct {
 }
 
 // ClusterReport is the scatter-gather answer: every reachable node's
-// completed samples merged into one digest. Samples are sorted with
-// report.SortSamples before merging, so the Merged section is
-// independent of node order and byte-comparable against a
-// single-process run over the same streams.
+// completed samples merged into one digest. report.MergeSamples orders
+// its input itself, so the Merged section is independent of node and
+// arrival order and byte-comparable against a single-process run over
+// the same streams.
 type ClusterReport struct {
 	Self        string             `json:"self"`
 	Epoch       uint64             `json:"epoch"`
@@ -631,7 +514,6 @@ func (cs *ClusterServer) GatherReport(ctx context.Context) ClusterReport {
 		}
 		cr.Nodes = append(cr.Nodes, node)
 	}
-	report.SortSamples(all)
 	cr.Merged = report.MergeSamples(all)
 	return cr
 }

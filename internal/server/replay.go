@@ -7,6 +7,7 @@ import (
 	"io"
 
 	"repro/internal/journal"
+	"repro/internal/report"
 	"repro/internal/vm"
 	"repro/internal/wire"
 	"repro/internal/workloads"
@@ -66,7 +67,7 @@ func (s *ReplaySummary) Ok() bool { return s.Diverged == 0 && s.Errors == 0 }
 func (e *Engine) ReplayJournal(r *journal.Reader) (*ReplaySummary, error) {
 	sum := &ReplaySummary{}
 	for _, si := range r.Streams() {
-		rs := e.replayStream(r, si)
+		rs := verifyReplay(r, si.Stream, e.replayStream(r, si))
 		sum.Streams = append(sum.Streams, rs)
 		sum.Replayed++
 		switch {
@@ -85,97 +86,113 @@ func (e *Engine) ReplayJournal(r *journal.Reader) (*ReplaySummary, error) {
 	return sum, nil
 }
 
-// replayStream runs one journaled stream through the engine.
-func (e *Engine) replayStream(r *journal.Reader, si journal.StreamInfo) ReplayedStream {
-	rs := ReplayedStream{Stream: si.Stream}
+// replayed is what replaying one journaled stream did — the one result
+// that -verify (verifyReplay) and -anchors (ReplayJournalAnchored) each
+// read their own outcome from.
+type replayed struct {
+	workload string
+	seed     uint64
+	events   uint64
+	cut      bool           // the capture ends before the Goodbye
+	sample   *report.Sample // Close's result; nil when cut or failed
+	closeErr error
+	anchors  []Anchor // the stream's anchors, read after Close or Abort
+	err      string   // replay-side failure (decode error, engine refusal)
+}
+
+// replayStream runs one journaled stream through the engine, anchoring
+// every Events batch to its own journal record.
+func (e *Engine) replayStream(r *journal.Reader, si journal.StreamInfo) (rp replayed) {
 	if !si.HasHello {
-		rs.Err = "journal holds no hello for this stream"
-		return rs
+		rp.err = "journal holds no hello for this stream"
+		return rp
 	}
 	d := wire.NewDeframer(r.StreamReader(si.Stream))
 	fr, err := d.ReadFrame()
 	if err != nil || fr.Type != wire.FrameHello {
-		rs.Err = fmt.Sprintf("replay hello: %v (type %v)", err, fr.Type)
-		return rs
+		rp.err = fmt.Sprintf("replay hello: %v (type %v)", err, fr.Type)
+		return rp
 	}
 	st, err := e.OpenStream(fr.Hello, "")
 	if err != nil {
-		rs.Err = err.Error()
-		return rs
+		rp.err = err.Error()
+		return rp
 	}
-	rs.Workload = st.w.Name
+	rp.workload, rp.seed = st.w.Name, st.seed
 	d.SetProgram(st.w.Prog, st.w.NumThreads)
+	locs := r.StreamEventLocs(si.Stream)
 
-	closed := false
-	defer func() {
-		if !closed {
-			st.Abort()
-		}
-	}()
-	for {
+	for k := 0; ; k++ {
 		eb := st.GetBatch()
 		fr, err := d.ReadFrameInto(eb)
-		if err != nil {
-			st.PutBatch(eb)
-			if errors.Is(err, io.EOF) {
-				// The journal ends mid-stream: the capture was cut by a
-				// crash. The events were still stepped — the detectors ran
-				// — but there is no goodbye and no verdict.
-				closed = true
-				st.Abort()
-				rs.Incomplete = true
-				return rs
+		switch {
+		case errors.Is(err, io.EOF):
+			// The journal ends mid-stream: the capture was cut by a crash.
+			// The events were still stepped — the detectors ran — but
+			// there is no goodbye and no verdict.
+			rp.cut = true
+		case err != nil:
+			rp.err = err.Error()
+		case fr.Type == wire.FrameEvents:
+			rp.events += uint64(eb.Len())
+			if k >= len(locs) {
+				rp.err = "more events frames than journaled event records"
+				break
 			}
-			rs.Err = err.Error()
-			return rs
-		}
-		switch fr.Type {
-		case wire.FrameEvents:
-			rs.Events += uint64(eb.Len())
 			// Replay is not a live measurement: the captured send stamps
 			// would register as enormous wire-to-verdict latencies, so
 			// they are deliberately not forwarded.
-			st.IngestBatchAt(eb, 0)
-		case wire.FrameGoodbye:
+			st.IngestBatchJournaled(eb, 0, locs[k])
+			continue
+		case fr.Type == wire.FrameGoodbye:
 			st.PutBatch(eb)
-			closed = true
-			sample, serr := st.Close()
-			liveSample, liveErr, ok := r.Result(si.Stream)
-			if !ok {
-				// Goodbye journaled but the daemon died before the result
-				// record: nothing to verify against.
-				rs.Incomplete = true
-				return rs
-			}
-			if liveErr != "" {
-				// The live stream ended in a terminal error (overload
-				// shed). Replay under PolicyBlock cannot reproduce a shed;
-				// report it as an error outcome, not a divergence.
-				rs.Err = fmt.Sprintf("live verdict was an error: %s", liveErr)
-				return rs
-			}
-			if serr != nil {
-				rs.Verified = true
-				rs.Divergence = fmt.Sprintf("replay errored where live succeeded: %v", serr)
-				return rs
-			}
-			fresh, err := json.Marshal(sample)
-			if err != nil {
-				rs.Err = fmt.Sprintf("encode replay sample: %v", err)
-				return rs
-			}
-			rs.Verified = true
-			rs.Match = string(fresh) == string(liveSample)
-			if !rs.Match {
-				rs.Divergence = describeDivergence(liveSample, fresh)
-			}
-			return rs
+			rp.sample, rp.closeErr = st.Close()
+			rp.anchors = st.anchors
+			return rp
 		default:
-			st.PutBatch(eb)
-			rs.Err = fmt.Sprintf("unexpected %s frame in journaled stream", fr.Type)
+			rp.err = fmt.Sprintf("unexpected %s frame in journaled stream", fr.Type)
+		}
+		st.PutBatch(eb)
+		st.Abort()
+		rp.anchors = st.anchors
+		return rp
+	}
+}
+
+// verifyReplay holds a replayed stream's fresh verdict against the
+// journaled one.
+func verifyReplay(r *journal.Reader, stream uint64, rp replayed) ReplayedStream {
+	rs := ReplayedStream{Stream: stream, Workload: rp.workload, Events: rp.events, Incomplete: rp.cut, Err: rp.err}
+	if rp.cut || rp.err != "" {
+		return rs
+	}
+	liveSample, liveErr, ok := r.Result(stream)
+	switch {
+	case !ok:
+		// Goodbye journaled but the daemon died before the result
+		// record: nothing to verify against.
+		rs.Incomplete = true
+	case liveErr != "":
+		// The live stream ended in a terminal error (overload shed).
+		// Replay under PolicyBlock cannot reproduce a shed; report it as
+		// an error outcome, not a divergence.
+		rs.Err = fmt.Sprintf("live verdict was an error: %s", liveErr)
+	case rp.closeErr != nil:
+		rs.Verified = true
+		rs.Divergence = fmt.Sprintf("replay errored where live succeeded: %v", rp.closeErr)
+	default:
+		fresh, err := json.Marshal(rp.sample)
+		if err != nil {
+			rs.Err = fmt.Sprintf("encode replay sample: %v", err)
 			return rs
 		}
+		rs.Verified = true
+		rs.Match = string(fresh) == string(liveSample)
+		if !rs.Match {
+			rs.Divergence = describeDivergence(liveSample, fresh)
+		}
 	}
+	return rs
 }
 
 // describeDivergence pinpoints the first differing byte of two sample
@@ -248,10 +265,12 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 // is the forensic half of the journal: a daemon that served a stream
 // without -witness still anchored its violations, and an anchored
 // replay re-derives the witness evidence for each of them after the
-// fact. It deliberately does NOT byte-compare against the journaled
-// verdict — forcing witnesses on a witnessless capture legitimately
-// changes the sample encoding, which is why svdreplay runs -verify and
-// -anchors on separate engines.
+// fact. It runs the same replay loop as ReplayJournal and reads the
+// stream's anchors where -verify reads its verdict. It deliberately
+// does NOT byte-compare against the journaled verdict — forcing
+// witnesses on a witnessless capture legitimately changes the sample
+// encoding, which is why svdreplay runs -verify and -anchors on
+// separate engines.
 
 // AnchoredStream is one journaled stream's re-detection outcome: its
 // violation anchors, each carrying the journal coordinates of the batch
@@ -275,88 +294,12 @@ type AnchoredStream struct {
 func (e *Engine) ReplayJournalAnchored(r *journal.Reader) ([]AnchoredStream, error) {
 	var out []AnchoredStream
 	for _, si := range r.Streams() {
-		out = append(out, e.replayStreamAnchored(r, si))
+		rp := e.replayStream(r, si)
+		as := AnchoredStream{Stream: si.Stream, Workload: rp.workload, Seed: rp.seed, Events: rp.events, Incomplete: rp.cut, Err: rp.err}
+		if rp.err == "" {
+			as.Anchors = rp.anchors
+		}
+		out = append(out, as)
 	}
 	return out, nil
-}
-
-func (e *Engine) replayStreamAnchored(r *journal.Reader, si journal.StreamInfo) AnchoredStream {
-	as := AnchoredStream{Stream: si.Stream}
-	if !si.HasHello {
-		as.Err = "journal holds no hello for this stream"
-		return as
-	}
-	locs := r.StreamEventLocs(si.Stream)
-	d := wire.NewDeframer(r.StreamReader(si.Stream))
-	fr, err := d.ReadFrame()
-	if err != nil || fr.Type != wire.FrameHello {
-		as.Err = fmt.Sprintf("replay hello: %v (type %v)", err, fr.Type)
-		return as
-	}
-	st, err := e.OpenStream(fr.Hello, "")
-	if err != nil {
-		as.Err = err.Error()
-		return as
-	}
-	as.Workload, as.Seed = st.w.Name, st.seed
-	d.SetProgram(st.w.Prog, st.w.NumThreads)
-
-	// The close path appends this stream's StreamAnchors to e.anchors;
-	// replay is sequential, so the entries past this mark are ours.
-	e.mu.Lock()
-	mark := len(e.anchors)
-	e.mu.Unlock()
-
-	closed := false
-	defer func() {
-		if !closed {
-			st.Abort()
-		}
-	}()
-	k := 0
-	for {
-		eb := st.GetBatch()
-		fr, err := d.ReadFrameInto(eb)
-		if err != nil {
-			st.PutBatch(eb)
-			if !errors.Is(err, io.EOF) {
-				as.Err = err.Error()
-				return as
-			}
-			// Cut capture: close out what was stepped so the anchors
-			// publish; without a sample no witnesses attach.
-			closed = true
-			st.Abort()
-			as.Incomplete = true
-			break
-		}
-		switch fr.Type {
-		case wire.FrameEvents:
-			as.Events += uint64(eb.Len())
-			if k >= len(locs) {
-				st.PutBatch(eb)
-				as.Err = "more events frames than journaled event records"
-				return as
-			}
-			st.IngestBatchJournaled(eb, 0, locs[k])
-			k++
-		case wire.FrameGoodbye:
-			st.PutBatch(eb)
-			closed = true
-			_, _ = st.Close()
-		default:
-			st.PutBatch(eb)
-			as.Err = fmt.Sprintf("unexpected %s frame in journaled stream", fr.Type)
-			return as
-		}
-		if closed {
-			break
-		}
-	}
-	e.mu.Lock()
-	for _, sa := range e.anchors[mark:] {
-		as.Anchors = append(as.Anchors, sa.Anchors...)
-	}
-	e.mu.Unlock()
-	return as
 }

@@ -798,17 +798,15 @@ func (e *Engine) ReportHandler() http.Handler {
 
 // SamplesHandler serves the engine's raw completed samples as a JSON
 // array — the scatter half of a cluster's scatter-gather /report: peers
-// fetch each node's samples and merge them with report.MergeSamples
-// after a deterministic sort, so the merged digest is independent of
+// fetch each node's samples and merge them with report.MergeSamples,
+// which orders them itself, so the merged digest is independent of
 // which node answered first.
 func (e *Engine) SamplesHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		samples := e.Samples()
-		report.SortSamples(samples)
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(samples)
+		_ = enc.Encode(e.Samples())
 	})
 }
 

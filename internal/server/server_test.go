@@ -383,6 +383,41 @@ func TestReportHandler(t *testing.T) {
 	}
 }
 
+// TestReportMergedIgnoresCloseOrder: two engines close the same
+// witness-on streams in opposite orders. The merged digest is a capped,
+// order-sensitive witness fold, so /report must be a function of the
+// sample set alone, not of the order its streams happened to close.
+func TestReportMergedIgnoresCloseOrder(t *testing.T) {
+	merged := func(seeds ...uint64) string {
+		e := New(Options{Shards: 2})
+		defer shutdown(t, e)
+		for _, seed := range seeds {
+			w, err := workloads.ByName("queue-buggy", 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := e.OpenStream(hello(w, seed, true), "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range collectBatches(t, w, seed) {
+				ingestCopy(st, b)
+			}
+			if _, err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		js, err := json.Marshal(e.Report().Merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js)
+	}
+	if a, b := merged(3, 5), merged(5, 3); a != b {
+		t.Errorf("merged digest depends on close order: %d vs %d bytes of JSON", len(a), len(b))
+	}
+}
+
 func shutdown(t *testing.T, e *Engine) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/journal"
+	"repro/internal/vm"
 	"repro/internal/wire"
 )
 
@@ -89,7 +90,13 @@ func (e *Engine) ServeConn(conn net.Conn) {
 	f := wire.NewFramer(conn, 1)
 
 	for streamSeq := 0; ; streamSeq++ {
-		err := e.serveStream(d, f, streamSeq)
+		fr, err := d.ReadFrame()
+		if err == nil && fr.Type != wire.FrameHello {
+			err = fmt.Errorf("%w: stream must open with hello, got %s", wire.ErrBadFrame, fr.Type)
+		}
+		if err == nil {
+			err = e.serveStream(d, f, fr.Hello, "", nil)
+		}
 		switch {
 		case err == nil:
 			continue // next Hello on the same connection
@@ -104,16 +111,20 @@ func (e *Engine) ServeConn(conn net.Conn) {
 	}
 }
 
-// serveStream runs one stream to completion: handshake, ingest, result.
-func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, seq int) error {
-	fr, err := d.ReadFrame()
-	if err != nil {
-		return err // io.EOF here is the clean between-streams end
-	}
-	if fr.Type != wire.FrameHello {
-		return fmt.Errorf("%w: stream must open with hello, got %s", wire.ErrBadFrame, fr.Type)
-	}
-	st, err := e.OpenStream(fr.Hello, "")
+// frameCheck inspects each Events frame of a served stream before the
+// frame is journaled and ingested; hdr and payload are its raw bytes.
+// It returns took=true when it has taken the stream over — a cluster
+// handoff released st (and eb with it) and relayed the rest of the
+// stream — and err is then the stream's outcome.
+type frameCheck func(st *Stream, eb *vm.EventBatch, hdr, payload []byte) (took bool, err error)
+
+// serveStream runs one stream to completion: open, ingest, result. It
+// is the one loop behind every served stream, standalone or cluster.
+// hello is the stream's opening frame, already read from d (so
+// d.RawFrame still holds its bytes); key feeds the shard router; check,
+// when non-nil, runs on every Events frame.
+func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, hello wire.Hello, key string, check frameCheck) error {
+	st, err := e.OpenStream(hello, key)
 	if err != nil {
 		return err
 	}
@@ -156,12 +167,18 @@ func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, seq int) error {
 		switch fr.Type {
 		case wire.FrameEvents:
 			st.NoteWireBytes(d.LastFrameBytes())
+			hdr, payload := d.RawFrame()
+			if check != nil {
+				if took, err := check(st, eb, hdr, payload); took {
+					closed = true
+					return err
+				}
+			}
 			if jw != nil {
 				var first, last uint64
 				if n := eb.Len(); n > 0 {
 					first, last = eb.Seq[0], eb.Seq[n-1]
 				}
-				hdr, payload := d.RawFrame()
 				loc, jerr := jw.Append(journal.Meta{
 					Kind: journal.KindEvents, Stream: st.id, FirstSeq: first, LastSeq: last,
 				}, hdr, payload)

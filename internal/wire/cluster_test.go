@@ -188,13 +188,15 @@ func TestHelloKeyNeedsV3(t *testing.T) {
 	}
 }
 
-// TestAdoptCodecTimestamps is the handoff-splice decode property on a
-// Timestamps stream: a prefix of the stream decodes through one
-// deframer (the handoff replay), the tail through another that adopts
-// the first's codec — and the tail's events frames must still have
-// their send stamps stripped and surfaced, not fed to the delta decoder
-// as event data.
-func TestAdoptCodecTimestamps(t *testing.T) {
+// TestPrependSpliceTimestamps is the handoff-splice decode property on
+// a Timestamps stream, read the way a receiving node reads it: a
+// Handoff frame carrying the stream's prefix arrives with the live tail
+// right behind it, so the connection's deframer has already buffered
+// tail bytes when it prepends the history. Hello, history and tail must
+// then decode as one stream — every tail Events frame still has its
+// send stamp stripped and surfaced, not fed to the delta decoder as
+// event data.
+func TestPrependSpliceTimestamps(t *testing.T) {
 	w, err := workloads.ByName("queue-buggy", 1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -230,40 +232,50 @@ func TestAdoptCodecTimestamps(t *testing.T) {
 	}
 	stream := buf.Bytes()
 
-	// "History" deframer: hello + first events frame.
-	hd := NewDeframer(bytes.NewReader(stream[:split]))
-	fr, err := hd.ReadFrame()
+	// The connection: a Handoff frame with the prefix as its history,
+	// then the live tail.
+	var conn bytes.Buffer
+	if err := NewFramer(&conn, 1).WriteHandoff(Handoff{Key: "q/3", Origin: "n1", Epoch: 2, History: stream[:split]}); err != nil {
+		t.Fatal(err)
+	}
+	conn.Write(stream[split:])
+	d := NewDeframer(&conn)
+	d.ExpectHandoffs()
+	fr, err := d.ReadFrame()
+	if err != nil || fr.Type != FrameHandoff {
+		t.Fatalf("handoff: %v type=%v", err, fr.Type)
+	}
+	if d.r.Buffered() == 0 {
+		t.Fatal("no tail bytes buffered behind the handoff frame; the splice is not exercised")
+	}
+	d.Prepend(fr.Handoff.History)
+
+	fr, err = d.ReadFrame()
 	if err != nil || fr.Type != FrameHello || !fr.Hello.Timestamps {
 		t.Fatalf("hello: %v %+v", err, fr.Hello)
 	}
-	hd.SetProgram(w.Prog, w.NumThreads)
+	d.SetProgram(w.Prog, w.NumThreads)
 	var got []vm.Event
 	eb := vm.NewEventBatch(0)
-	fr, err = hd.ReadFrameInto(eb)
-	if err != nil || fr.Type != FrameEvents || fr.SendNanos != 1 {
-		t.Fatalf("replayed frame: %v type=%v stamp=%d", err, fr.Type, fr.SendNanos)
-	}
-	got = eb.AppendEvents(got, w.Prog.Code)
-
-	// "Live" deframer takes over the tail mid-stream.
-	live := NewDeframer(bytes.NewReader(stream[split:]))
-	live.AdoptCodec(hd)
-	stamp := uint64(1)
+	stamp := uint64(0)
 	for {
-		fr, err = live.ReadFrameInto(eb)
+		fr, err = d.ReadFrameInto(eb)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			t.Fatalf("live frame after splice: %v", err)
+			t.Fatalf("frame %d after splice: %v", stamp, err)
 		}
 		if fr.Type == FrameEvents {
 			stamp++
 			if fr.SendNanos != stamp {
-				t.Fatalf("live frame stamp %d, want %d (timestamps flag lost in AdoptCodec?)", fr.SendNanos, stamp)
+				t.Fatalf("events frame stamp %d, want %d (timestamps flag lost across the splice?)", fr.SendNanos, stamp)
 			}
 			got = eb.AppendEvents(got, w.Prog.Code)
 		}
+	}
+	if stamp != uint64(frames) {
+		t.Fatalf("decoded %d events frames, sent %d", stamp, frames)
 	}
 	if !reflect.DeepEqual(got, sent) {
 		t.Fatalf("spliced decode diverged: %d events vs %d sent", len(got), len(sent))

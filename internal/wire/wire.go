@@ -472,6 +472,7 @@ type Frame struct {
 
 // Deframer reads frames from one stream. Not safe for concurrent use.
 type Deframer struct {
+	src     io.Reader // what r buffers; Prepend chains bytes in front
 	r       *bufio.Reader
 	hdr     [9]byte
 	payload []byte
@@ -549,7 +550,7 @@ func (d *Deframer) ExpectHandoffs() { d.handoffs = true }
 
 // NewDeframer builds a Deframer over r.
 func NewDeframer(r io.Reader) *Deframer {
-	return &Deframer{r: bufio.NewReaderSize(r, 32<<10)}
+	return &Deframer{src: r, r: bufio.NewReaderSize(r, 32<<10)}
 }
 
 // SetProgram installs the program event frames are validated against and
@@ -561,21 +562,17 @@ func (d *Deframer) SetProgram(p *isa.Program, threads int) {
 	d.dec.memClass = buildMemClass(p)
 }
 
-// AdoptCodec copies src's event-decoder state — the delta-codec context
-// left by src's last decoded frame — so d can continue decoding a
-// stream whose earlier frames were decoded through src. The cluster
-// handoff replay needs it: the transferred history decodes on a side
-// deframer, then the connection's deframer resumes the live tail, whose
-// first frame's deltas reference the last history frame. The timestamps
-// flag travels too: the stream's Hello was decoded by src, and on a
-// Timestamps stream every live Events frame still opens with a send
-// stamp — without the flag the stamp would be fed to the delta decoder
-// as event data. src must not be used again (the codec context's
-// per-thread arrays are shared, not copied).
-func (d *Deframer) AdoptCodec(src *Deframer) {
-	d.prog = src.prog
-	d.dec = src.dec
-	d.timestamps = src.timestamps
+// Prepend makes d read b before the rest of its input, bytes already
+// buffered from the underlying reader included. A cluster handoff
+// receiver prepends the shipped history to its connection, so history
+// and live tail decode as one wire stream through one codec context:
+// the Hello that sets the stream's framing and the tail frames whose
+// deltas continue from the last history frame pass the same decoder.
+// d keeps b; the caller must not modify it afterwards.
+func (d *Deframer) Prepend(b []byte) {
+	buffered, _ := d.r.Peek(d.r.Buffered())
+	d.src = io.MultiReader(bytes.NewReader(b), bytes.NewReader(bytes.Clone(buffered)), d.src)
+	d.r.Reset(d.src)
 }
 
 // readPayload reads the next frame header and payload into d.payload.
