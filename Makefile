@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/
+	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster|TestDigest|TestReportMerged' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/
 
 vet:
 	$(GO) vet ./...

@@ -21,15 +21,16 @@
 // misrouted stream is forwarded to its owner, and when a probe demotes
 // a member the survivors re-shard and drain affected streams to their
 // new owners with a replay handoff. The HTTP plane's /report becomes a
-// scatter-gather merge across the whole cluster; the local node's own
-// report moves to /report/local and its raw samples to /samples.
+// scatter-gather merge of every node's run digest; the local node's own
+// report moves to /report/local and its digest is served at /digest.
 //
 // With -journal, every ingested wire frame is persisted to a segmented
-// append-only store before its batch reaches a detector, violations are
-// anchored to their journal records, and cmd/svdreplay can later replay
-// the capture with byte-exact verification (-journal-* flags tune
-// rotation, retention, and fsync cadence). Restarting over the same
-// directory recovers torn tails and keeps stream ids unique.
+// append-only store before its batch reaches a detector, and
+// cmd/svdreplay can later replay the capture with byte-exact
+// verification or re-derive each violation's journal anchor and witness
+// (-journal-* flags tune rotation, retention, and fsync cadence).
+// Restarting over the same directory recovers torn tails and keeps
+// stream ids unique.
 //
 // SIGINT/SIGTERM starts a graceful drain bounded by one -drain-timeout
 // deadline: the listener closes, open streams may finish until the
@@ -129,7 +130,6 @@ func main() {
 		Telemetry:  *telemetry,
 		Journal:    jw,
 		StreamBase: streamBase,
-		NodeID:     *nodeID,
 		Logger:     log,
 	})
 
@@ -181,7 +181,7 @@ func main() {
 			// own view stays reachable for debugging.
 			mux.Handle("/report", cs.GatherHandler())
 			mux.Handle("/report/local", eng.ReportHandler())
-			mux.Handle("/samples", eng.SamplesHandler())
+			mux.Handle("/digest", eng.DigestHandler())
 		} else {
 			mux.Handle("/report", eng.ReportHandler())
 		}

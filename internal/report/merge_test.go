@@ -3,6 +3,7 @@ package report
 import (
 	"encoding/json"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/obs"
@@ -232,5 +233,114 @@ func TestMergeSamplesScaleTie(t *testing.T) {
 	SortSamples(pair)
 	if pair[0] != tie[0] {
 		t.Errorf("SortSamples kept scale 2 (%d instructions) before scale 1 (%d)", tie[1].Instructions, tie[0].Instructions)
+	}
+}
+
+// referenceMerge is the merge the digest replaces, kept as its oracle:
+// stably sort the whole sample set, sum the counters, and take the
+// first MaxMergedWitnesses witnesses in that order, SVD's before FRD's
+// within a sample.
+func referenceMerge(samples []*Sample) MergedStats {
+	samples = append([]*Sample(nil), samples...)
+	SortSamples(samples)
+	var m MergedStats
+	for _, s := range samples {
+		if s == nil {
+			continue
+		}
+		m.Samples++
+		m.SVD.Add(s.SVDStats)
+		m.FRD.Add(s.FRDStats)
+		for _, ws := range [][]obs.Witness{s.SVDWitnesses, s.FRDWitnesses} {
+			for _, w := range ws {
+				if len(m.Witnesses) < MaxMergedWitnesses {
+					m.Witnesses = append(m.Witnesses, w)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// TestDigestMatchesSortedMerge is the digest's spec. Over witness-on
+// Table-2 samples, the queue-buggy scale-tie pair, one sample repeated
+// (a key tie) and a nil, three computations must give byte-identical
+// JSON: folding Add over a random permutation, merging the digests of a
+// random partition after each went through JSON (as cluster peers ship
+// them), and the sort-then-take-256 reference.
+func TestDigestMatchesSortedMerge(t *testing.T) {
+	var samples []*Sample
+	for _, e := range Table2Workloads(Table2Config{Scale: 1, Samples: 2, Seed: 3}) {
+		ss, err := RunMany(e.W, Seeds(3, e.Samples), Options{Witness: true}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, ss...)
+	}
+	for _, scale := range []int{1, 2} {
+		w, err := workloads.ByName("queue-buggy", scale, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Run(w, 3, Options{Witness: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples = append(samples, s)
+	}
+	samples = append(samples, samples[0], nil)
+	var witnesses int
+	for _, s := range samples {
+		if s != nil {
+			witnesses += len(s.SVDWitnesses) + len(s.FRDWitnesses)
+		}
+	}
+	if witnesses <= MaxMergedWitnesses {
+		t.Fatalf("only %d witnesses; the cap would not be exercised", witnesses)
+	}
+	js := func(m MergedStats) string {
+		t.Helper()
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	want := js(referenceMerge(samples))
+
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 8; trial++ {
+		perm := append([]*Sample(nil), samples...)
+		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+		var d Digest
+		for _, s := range perm {
+			d.Add(s)
+		}
+		if len(d.Keys) != len(d.Witnesses) || !sort.SliceIsSorted(d.Keys, func(i, j int) bool { return d.Keys[i].less(d.Keys[j]) }) {
+			t.Fatalf("trial %d: %d keys for %d witnesses, or keys out of order", trial, len(d.Keys), len(d.Witnesses))
+		}
+		if got := js(d.MergedStats); got != want {
+			t.Fatalf("trial %d: folding a permutation differs from the sorted merge", trial)
+		}
+
+		parts := make([]Digest, 1+rng.Intn(4))
+		for _, s := range perm {
+			parts[rng.Intn(len(parts))].Add(s)
+		}
+		var g Digest
+		for _, p := range parts {
+			b, err := json.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var peer Digest
+			if err := json.Unmarshal(b, &peer); err != nil {
+				t.Fatal(err)
+			}
+			g.Merge(peer)
+		}
+		if got := js(g.MergedStats); got != want {
+			t.Fatalf("trial %d: merging %d partition digests differs from the sorted merge", trial, len(parts))
+		}
 	}
 }

@@ -14,6 +14,7 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -213,69 +214,112 @@ type MergedStats struct {
 // set; full per-violation witness lists stay on the individual samples.
 const MaxMergedWitnesses = 256
 
-// SortSamples orders samples by workload, seed, instruction count
-// (scale changes it, so one workload and seed at two scales stay
-// apart), SVD violation count and FRD race count, nils first. The
-// merged digest's witness section is a capped, order-sensitive fold;
-// MergeSamples sorts its input with this key, which is what makes a
-// cluster's scatter-gather /report reproducible and comparable against
-// a single-process run. The key reads counters only, never witnesses:
-// samples that tie on it come from identically recorded streams, which
-// tie often and merge the same in either order.
+// SampleKey is the order the merged witness section follows: workload,
+// seed, instruction count (scale changes it, so one workload and seed
+// at two scales stay apart), SVD violation count and FRD race count.
+// It reads counters only, never witnesses: samples that tie on it come
+// from identically recorded streams, which tie often and merge the same
+// in either order.
+type SampleKey struct {
+	Workload     string `json:"workload"`
+	Seed         uint64 `json:"seed"`
+	Instructions uint64 `json:"instructions"`
+	Violations   uint64 `json:"violations"`
+	Races        uint64 `json:"races"`
+}
+
+// keyOf returns s's sample key; s must not be nil.
+func keyOf(s *Sample) SampleKey {
+	return SampleKey{s.Workload, s.Seed, s.Instructions, s.SVDStats.Violations, s.FRDStats.Races}
+}
+
+// less orders keys field by field.
+func (k SampleKey) less(o SampleKey) bool {
+	return cmp.Or(cmp.Compare(k.Workload, o.Workload), cmp.Compare(k.Seed, o.Seed),
+		cmp.Compare(k.Instructions, o.Instructions), cmp.Compare(k.Violations, o.Violations),
+		cmp.Compare(k.Races, o.Races)) < 0
+}
+
+// SortSamples orders samples stably by SampleKey, nils first.
 func SortSamples(samples []*Sample) {
 	sort.SliceStable(samples, func(i, j int) bool {
 		a, b := samples[i], samples[j]
 		if a == nil || b == nil {
 			return a == nil && b != nil
 		}
-		switch {
-		case a.Workload != b.Workload:
-			return a.Workload < b.Workload
-		case a.Seed != b.Seed:
-			return a.Seed < b.Seed
-		case a.Instructions != b.Instructions:
-			return a.Instructions < b.Instructions
-		case a.SVDStats.Violations != b.SVDStats.Violations:
-			return a.SVDStats.Violations < b.SVDStats.Violations
-		}
-		return a.FRDStats.Races < b.FRDStats.Races
+		return keyOf(a).less(keyOf(b))
 	})
 }
 
-// MergeSamples folds every sample's detector counters together, in
-// SortSamples order (it sorts a copy of its input), so the digest is a
-// function of the sample set, not of arrival order. Nil samples
-// (skipped runs) are ignored. Witnesses enter the capped digest as deep
-// copies: a Witness struct copy would share its Inputs/Outputs/Window
-// backing arrays with the sample, and the digest is exactly the view
-// handed to concurrent readers (the detection server's query path
-// serves it while shards are still draining), so aliasing here was a
-// read/write race waiting for its first -race run.
-func MergeSamples(samples []*Sample) MergedStats {
-	samples = append([]*Sample(nil), samples...)
-	SortSamples(samples)
-	var m MergedStats
-	for _, s := range samples {
-		if s == nil {
-			continue
-		}
-		m.Samples++
-		m.SVD.Add(s.SVDStats)
-		m.FRD.Add(s.FRDStats)
-		for _, w := range s.SVDWitnesses {
-			if len(m.Witnesses) >= MaxMergedWitnesses {
+// Digest is MergedStats made mergeable: Keys[i] is the SampleKey of
+// Witnesses[i]'s sample, so later samples, or another digest, enter the
+// capped witness section at their place in SortSamples order. Folding
+// samples in any order, or merging the digests of any partition of
+// them, gives the MergedStats of the whole set. Add and Merge replace
+// the Witnesses and Keys slices instead of writing into them, and never
+// rewrite a witness, so a copy of a Digest stays valid while the
+// original keeps folding.
+type Digest struct {
+	MergedStats
+	Keys []SampleKey `json:"keys,omitempty"`
+}
+
+// Add folds one sample into the digest; nil is ignored. Only witnesses
+// that fall inside the cap are copied in, as deep copies: a struct copy
+// would share its Inputs/Outputs/Window backing arrays with the sample.
+func (d *Digest) Add(s *Sample) {
+	if s == nil {
+		return
+	}
+	k := keyOf(s)
+	room := MaxMergedWitnesses - sort.Search(len(d.Keys), func(i int) bool { return k.less(d.Keys[i]) })
+	one := Digest{MergedStats: MergedStats{Samples: 1, SVD: s.SVDStats, FRD: s.FRDStats}}
+	for _, ws := range [][]obs.Witness{s.SVDWitnesses, s.FRDWitnesses} {
+		for _, w := range ws {
+			if len(one.Witnesses) >= room {
 				break
 			}
-			m.Witnesses = append(m.Witnesses, w.Clone())
-		}
-		for _, w := range s.FRDWitnesses {
-			if len(m.Witnesses) >= MaxMergedWitnesses {
-				break
-			}
-			m.Witnesses = append(m.Witnesses, w.Clone())
+			one.Witnesses = append(one.Witnesses, w.Clone())
+			one.Keys = append(one.Keys, k)
 		}
 	}
-	return m
+	d.Merge(one)
+}
+
+// Merge folds another digest into d, keeping the MaxMergedWitnesses
+// lowest-keyed witnesses of both; on equal keys d's witnesses stay
+// first. o must be well formed: one key per witness, keys sorted.
+func (d *Digest) Merge(o Digest) {
+	d.Samples += o.Samples
+	d.SVD.Add(o.SVD)
+	d.FRD.Add(o.FRD)
+	if len(o.Witnesses) == 0 {
+		return
+	}
+	n := min(len(d.Witnesses)+len(o.Witnesses), MaxMergedWitnesses)
+	ws, keys := make([]obs.Witness, 0, n), make([]SampleKey, 0, n)
+	i, j := 0, 0
+	for len(ws) < n {
+		if j == len(o.Keys) || i < len(d.Keys) && !o.Keys[j].less(d.Keys[i]) {
+			ws, keys = append(ws, d.Witnesses[i]), append(keys, d.Keys[i])
+			i++
+		} else {
+			ws, keys = append(ws, o.Witnesses[j]), append(keys, o.Keys[j])
+			j++
+		}
+	}
+	d.Witnesses, d.Keys = ws, keys
+}
+
+// MergeSamples folds samples into one MergedStats (see Digest): the
+// result is a function of the sample set, not of its order. Nil samples
+// (skipped runs) are ignored.
+func MergeSamples(samples []*Sample) MergedStats {
+	var d Digest
+	for _, s := range samples {
+		d.Add(s)
+	}
+	return d.MergedStats
 }
 
 func classifySVD(w *workloads.Workload, sd *svd.Detector) DetectorResult {

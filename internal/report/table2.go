@@ -79,25 +79,16 @@ func Table2Workloads(cfg Table2Config) []struct {
 func Table2(cfg Table2Config) ([]Row, MergedStats, error) {
 	cfg = cfg.withDefaults()
 	var rows []Row
-	var merged MergedStats
+	var all []*Sample
 	for _, entry := range Table2Workloads(cfg) {
 		samples, err := RunMany(entry.W, Seeds(cfg.Seed, entry.Samples), Options{Obs: cfg.Obs, Witness: cfg.Witness}, cfg.Parallelism)
 		if err != nil {
 			return nil, MergedStats{}, fmt.Errorf("table2: %s: %w", entry.W.Name, err)
 		}
 		rows = append(rows, Aggregate(entry.W.Name, samples))
-		m := MergeSamples(samples)
-		merged.Samples += m.Samples
-		merged.SVD.Add(m.SVD)
-		merged.FRD.Add(m.FRD)
-		for _, w := range m.Witnesses {
-			if len(merged.Witnesses) >= MaxMergedWitnesses {
-				break
-			}
-			merged.Witnesses = append(merged.Witnesses, w)
-		}
+		all = append(all, samples...)
 	}
-	return rows, merged, nil
+	return rows, MergeSamples(all), nil
 }
 
 // ScalingPoint is one point of the §7.3 execution-length sweep.

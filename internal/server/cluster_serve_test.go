@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,7 +72,7 @@ func writeRows(f *wire.Framer, evs []vm.Event) error {
 // startClusterNode builds an engine+router+server listening on TCP.
 func startClusterNode(t *testing.T, id string, view *cluster.View, copts ClusterOptions) (*ClusterServer, net.Listener) {
 	t.Helper()
-	e := New(Options{Shards: 2, NodeID: id})
+	e := New(Options{Shards: 2})
 	cs := NewClusterServer(e, cluster.NewRouter(id, view), copts)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -112,7 +115,7 @@ func TestClusterHandoffDifferential(t *testing.T) {
 			eB := csB.Engine()
 
 			// Node A serves the client over a pipe; initially sole owner.
-			eA := New(Options{Shards: 2, NodeID: "nA"})
+			eA := New(Options{Shards: 2})
 			defer shutdown(t, eA)
 			rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
 			csA := NewClusterServer(eA, rtA, ClusterOptions{})
@@ -176,10 +179,10 @@ func TestClusterHandoffDifferential(t *testing.T) {
 			if c := eA.Counters(); c.StreamsHandedOff != 1 {
 				t.Errorf("origin handed off %d streams, want 1", c.StreamsHandedOff)
 			}
-			if n := len(eA.Samples()); n != 0 {
+			if n := eA.Report().Merged.Samples; n != 0 {
 				t.Errorf("origin published %d samples, want 0", n)
 			}
-			if n := len(eB.Samples()); n != 1 {
+			if n := eB.Report().Merged.Samples; n != 1 {
 				t.Errorf("owner published %d samples, want 1", n)
 			}
 		})
@@ -205,7 +208,7 @@ func TestClusterHandoffTimestamps(t *testing.T) {
 	csB, lnB := startClusterNode(t, "nB",
 		cluster.NewView(1, []cluster.Member{{ID: "nB", Addr: "unused"}}), ClusterOptions{})
 
-	eA := New(Options{Shards: 2, NodeID: "nA"})
+	eA := New(Options{Shards: 2})
 	defer shutdown(t, eA)
 	rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
 	csA := NewClusterServer(eA, rtA, ClusterOptions{})
@@ -260,7 +263,7 @@ func TestClusterHandoffTimestamps(t *testing.T) {
 	if s := csB.Router().Snapshot(); s.HandoffsIn != 1 {
 		t.Errorf("owner router: %+v", s)
 	}
-	if n := len(csB.Engine().Samples()); n != 1 {
+	if n := csB.Engine().Report().Merged.Samples; n != 1 {
 		t.Errorf("owner published %d samples, want 1", n)
 	}
 }
@@ -290,7 +293,7 @@ func TestClusterHandoffChain(t *testing.T) {
 		cluster.NewView(1, []cluster.Member{{ID: "nB", Addr: "unused"}}), ClusterOptions{})
 	csC, lnC := startClusterNode(t, "nC",
 		cluster.NewView(1, []cluster.Member{{ID: "nC", Addr: "unused"}}), ClusterOptions{})
-	eA := New(Options{Shards: 2, NodeID: "nA"})
+	eA := New(Options{Shards: 2})
 	defer shutdown(t, eA)
 	rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
 	csA := NewClusterServer(eA, rtA, ClusterOptions{})
@@ -365,7 +368,7 @@ func TestClusterHandoffChain(t *testing.T) {
 		if s := n.cs.Router().Snapshot(); s.HandoffsOut != n.out || s.HandoffsIn != n.in {
 			t.Errorf("%s handoffs out=%d in=%d, want %d/%d", n.id, s.HandoffsOut, s.HandoffsIn, n.out, n.in)
 		}
-		if got := len(n.cs.Engine().Samples()); got != n.samples {
+		if got := n.cs.Engine().Report().Merged.Samples; got != n.samples {
 			t.Errorf("%s published %d samples, want %d", n.id, got, n.samples)
 		}
 	}
@@ -387,39 +390,14 @@ func TestClusterHandoffStalledPeer(t *testing.T) {
 	want := inProcess(t, name, seed)
 
 	// The stalled peer accepts and holds connections, never writing.
-	stalled, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var held []net.Conn
-	go func() {
-		for {
-			c, err := stalled.Accept()
-			if err != nil {
-				return
-			}
-			mu.Lock()
-			held = append(held, c)
-			mu.Unlock()
-		}
-	}()
-	release := func() {
-		stalled.Close()
-		mu.Lock()
-		for _, c := range held {
-			c.Close()
-		}
-		mu.Unlock()
-	}
-	defer release()
+	stalled, release := stalledPeer(t)
 
-	eA := New(Options{Shards: 2, NodeID: "nA"})
+	eA := New(Options{Shards: 2})
 	defer shutdown(t, eA)
 	rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
 	csA := NewClusterServer(eA, rtA, ClusterOptions{})
 	moved := cluster.NewView(2, []cluster.Member{
-		{ID: "nA", Addr: "unused"}, {ID: "nS", Addr: stalled.Addr().String()},
+		{ID: "nA", Addr: "unused"}, {ID: "nS", Addr: stalled},
 	})
 	key := keyOwnedBy(t, moved, "nS")
 	cli, srv := net.Pipe()
@@ -483,8 +461,155 @@ func TestClusterHandoffStalledPeer(t *testing.T) {
 	if s := rtA.Snapshot(); s.MembersDown != 1 || s.HandoffsOut != 0 {
 		t.Errorf("router after stalled handoff: %+v", s)
 	}
-	if n := len(eA.Samples()); n != 1 {
+	if n := eA.Report().Merged.Samples; n != 1 {
 		t.Errorf("origin published %d samples, want 1", n)
+	}
+}
+
+// stalledPeer listens on loopback and holds every connection it accepts
+// without ever reading or writing. release closes the listener and the
+// held connections; it may be called more than once.
+func stalledPeer(t *testing.T) (addr string, release func()) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	release = func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range held {
+			c.Close()
+		}
+		mu.Unlock()
+	}
+	t.Cleanup(release)
+	return ln.Addr().String(), release
+}
+
+// TestClusterForwardStalledPeer: a keyed stream arrives at a node whose
+// view routes the key to a peer that accepts connections and never
+// answers. Forwarding reaches the owner through the Assign exchange, so
+// its deadline marks the peer down and the stream is served locally
+// with the in-process sample, instead of blocking forever on a relay.
+// The test bounds itself, so a stream that stays blocked fails it
+// instead of hanging.
+func TestClusterForwardStalledPeer(t *testing.T) {
+	const name = "queue-buggy"
+	const seed = uint64(9)
+	w, err := workloads.ByName(name, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := inProcess(t, name, seed)
+
+	addr, release := stalledPeer(t)
+	view := cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}, {ID: "nS", Addr: addr}})
+	key := keyOwnedBy(t, view, "nS")
+	eA := New(Options{Shards: 2})
+	defer shutdown(t, eA)
+	rtA := cluster.NewRouter("nA", view)
+	csA := NewClusterServer(eA, rtA, ClusterOptions{})
+	cli, srv := net.Pipe()
+	defer cli.Close()
+	go csA.ServeConn(srv)
+
+	type outcome struct {
+		got *report.Sample
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		got, _, err := NewClient(cli).RunSample(w, seed, ReplayOptions{Witness: true, Scale: 1, Key: key})
+		done <- outcome{got, err}
+	}()
+	var res outcome
+	select {
+	case res = <-done:
+	case <-time.After(3 * peerTimeout):
+		release() // unblock the session so the deferred cleanup can finish
+		t.Fatalf("forwarded stream still blocked %v after routing to a silent peer; router %+v", 3*peerTimeout, rtA.Snapshot())
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	diffSamples(t, "stalled-owner stream", res.got, want)
+	if s := rtA.Snapshot(); s.MembersDown != 1 || s.Misroutes != 1 || s.ForwardedFrames != 0 {
+		t.Errorf("router after stalled forward: %+v", s)
+	}
+	if n := eA.Report().Merged.Samples; n != 1 {
+		t.Errorf("node published %d samples, want 1", n)
+	}
+}
+
+// TestClusterForwardTokenMismatch: the key's owner answers the Assign
+// exchange, but with another cluster's token. It is not marked down —
+// something answered — so re-routing would pick it again; the stream is
+// pinned where it arrived instead, and no later frame dials the owner.
+func TestClusterForwardTokenMismatch(t *testing.T) {
+	const name = "queue-fixed"
+	const seed = uint64(6)
+	w, err := workloads.ByName(name, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := inProcess(t, name, seed)
+
+	view := cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}, {ID: "nX", Addr: "nX"}})
+	key := keyOwnedBy(t, view, "nX")
+	eA := New(Options{Shards: 2})
+	defer shutdown(t, eA)
+	var dials atomic.Int32
+	csA := NewClusterServer(eA, cluster.NewRouter("nA", view), ClusterOptions{Dial: func(string) (net.Conn, error) {
+		dials.Add(1)
+		c, peer := net.Pipe()
+		go func() {
+			defer peer.Close()
+			d := wire.NewDeframer(peer)
+			d.ExpectAssigns()
+			fr, err := d.ReadFrame()
+			if err != nil || fr.Type != wire.FrameAssign {
+				return
+			}
+			a := fr.Assign
+			a.Token = "another cluster"
+			_ = wire.NewFramer(peer, 1).WriteAssign(a)
+			_, _ = io.Copy(io.Discard, peer)
+		}()
+		return c, nil
+	}})
+	cli, srv := net.Pipe()
+	sessionDone := make(chan struct{})
+	go func() { csA.ServeConn(srv); close(sessionDone) }()
+	got, _, err := NewClient(cli).RunSample(w, seed, ReplayOptions{Witness: true, Scale: 1, Key: key})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffSamples(t, "token-mismatch stream", got, want)
+	cli.Close()
+	<-sessionDone
+
+	if n := dials.Load(); n != 1 {
+		t.Errorf("dialed the mismatched owner %d times, want 1", n)
+	}
+	if s := csA.Router().Snapshot(); s.MembersDown != 0 || s.Misroutes != 1 || s.ForwardedFrames != 0 {
+		t.Errorf("router: %+v", s)
+	}
+	if n := eA.Report().Merged.Samples; n != 1 {
+		t.Errorf("nA published %d samples, want 1", n)
 	}
 }
 
@@ -497,7 +622,7 @@ func TestClusterHandoffStalledPeer(t *testing.T) {
 func TestClusterPeerAuth(t *testing.T) {
 	const token = "s3cret"
 	members := []cluster.Member{{ID: "nA", Addr: "a:1"}, {ID: "nB", Addr: "b:1"}}
-	e := New(Options{Shards: 1, NodeID: "nA"})
+	e := New(Options{Shards: 1})
 	defer shutdown(t, e)
 	rt := cluster.NewRouter("nA", cluster.NewView(1, members))
 	cs := NewClusterServer(e, rt, ClusterOptions{PeerToken: token})
@@ -599,13 +724,14 @@ func TestClusterPeerAuth(t *testing.T) {
 }
 
 // TestClusterHopLimitBreaksPingPong wires two nodes whose views
-// disagree about a key's owner — the divergence window REVIEW found. A
-// still runs the shared base view and routes the key to B; B has
-// adopted a newer view in which B itself was marked down, so it routes
-// every key to A. Each relay bumps the Hello's hop counter, so instead
-// of bouncing connections between the two at network speed forever, the
-// chain terminates at maxStreamHops and the stream is served where it
-// landed, with the sample still byte-identical.
+// disagree about a key's owner. A still runs the shared base view and
+// routes the key to B; B has adopted a newer view in which B itself was
+// marked down, so it routes every key to A. Relayed Hellos would bounce
+// between the two, but the forward path reaches B through the Assign
+// exchange first: A learns B's epoch-2 view, in which A owns the key,
+// and serves the stream itself before a single frame is relayed, with
+// the sample still byte-identical. TestClusterHopGuard covers the hop
+// limit that bounds relay chains when views stay diverged.
 func TestClusterHopLimitBreaksPingPong(t *testing.T) {
 	const name = "queue-fixed"
 	const seed = uint64(6)
@@ -631,13 +757,13 @@ func TestClusterHopLimitBreaksPingPong(t *testing.T) {
 	})
 	key := keyOwnedBy(t, viewA, "nB")
 
-	eA := New(Options{Shards: 2, NodeID: "nA"})
+	eA := New(Options{Shards: 2})
 	defer shutdown(t, eA)
 	csA := NewClusterServer(eA, cluster.NewRouter("nA", viewA), ClusterOptions{})
 	go csA.Serve(lnA)
 	defer lnA.Close()
 
-	eB := New(Options{Shards: 2, NodeID: "nB"})
+	eB := New(Options{Shards: 2})
 	defer shutdown(t, eB)
 	csB := NewClusterServer(eB, cluster.NewRouter("nB", viewB), ClusterOptions{})
 	go csB.Serve(lnB)
@@ -656,27 +782,89 @@ func TestClusterHopLimitBreaksPingPong(t *testing.T) {
 	cli.Close()
 	<-sessionDone
 
-	// hops 0 (client at A) -> 1 (B) -> 2 (A) -> 3: B hits the hop
-	// limit and stops relaying. Its between-frame ownership check then
-	// hands the stream to nA; the handoff's Assign exchange teaches A
-	// the epoch-2 view, so A sees itself as owner and publishes. The
-	// hop guard broke the relay loop, and the handoff anti-entropy
-	// converged the views.
-	if n := len(eA.Samples()); n != 1 {
+	if n := eA.Report().Merged.Samples; n != 1 {
 		t.Errorf("nA published %d samples, want 1", n)
 	}
-	if n := len(eB.Samples()); n != 0 {
+	if n := eB.Report().Merged.Samples; n != 0 {
 		t.Errorf("nB published %d samples, want 0", n)
 	}
 	sA, sB := csA.Router().Snapshot(), csB.Router().Snapshot()
-	if sA.Misroutes != 2 || sB.Misroutes != 2 {
-		t.Errorf("misroutes A=%d B=%d, want 2/2", sA.Misroutes, sB.Misroutes)
+	if sA.Misroutes != 1 || sB.Misroutes != 0 {
+		t.Errorf("misroutes A=%d B=%d, want 1/0", sA.Misroutes, sB.Misroutes)
 	}
 	if sA.Epoch != 2 {
 		t.Errorf("nA converged to epoch %d, want 2", sA.Epoch)
 	}
-	if sB.HandoffsOut != 1 || sA.HandoffsIn != 1 {
-		t.Errorf("handoffs out(B)=%d in(A)=%d, want 1/1", sB.HandoffsOut, sA.HandoffsIn)
+	if sB.HandoffsOut != 0 || sA.HandoffsIn != 0 || sA.ForwardedFrames != 0 {
+		t.Errorf("handoffs out(B)=%d in(A)=%d, forwarded(A)=%d, want 0/0/0", sB.HandoffsOut, sA.HandoffsIn, sA.ForwardedFrames)
+	}
+}
+
+// TestClusterHopGuard: a Hello that has already crossed maxStreamHops
+// relays and reaches a node that does not own its key is served there.
+// The node never dials the owner, so nodes whose views stay diverged
+// cannot bounce a stream between each other.
+func TestClusterHopGuard(t *testing.T) {
+	const name = "queue-fixed"
+	const seed = uint64(6)
+	w, err := workloads.ByName(name, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, m := collectEvents(t, w, seed)
+	want := inProcess(t, name, seed)
+
+	view := cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}, {ID: "nB", Addr: "nB"}})
+	key := keyOwnedBy(t, view, "nB")
+	eA := New(Options{Shards: 2})
+	defer shutdown(t, eA)
+	var dials atomic.Int32
+	csA := NewClusterServer(eA, cluster.NewRouter("nA", view), ClusterOptions{Dial: func(string) (net.Conn, error) {
+		dials.Add(1)
+		return nil, errors.New("dial refused")
+	}})
+	cli, srv := net.Pipe()
+	sessionDone := make(chan struct{})
+	go func() { csA.ServeConn(srv); close(sessionDone) }()
+
+	f := wire.NewFramer(cli, w.NumThreads)
+	d := wire.NewDeframer(cli)
+	d.ExpectResults()
+	go func() {
+		// net.Pipe is unbuffered: write while the test reads the result.
+		_ = f.WriteHello(wire.Hello{
+			Version: wire.Version, Threads: w.NumThreads, Workload: name,
+			Scale: 1, Seed: seed, Witness: true, Key: key, Hops: maxStreamHops,
+		})
+		for i := 0; i < len(evs); i += vm.DefaultBatchCap {
+			_ = writeRows(f, evs[i:min(i+vm.DefaultBatchCap, len(evs))])
+		}
+		_ = f.WriteGoodbye()
+	}()
+	fr, err := d.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Type != wire.FrameResult || fr.Result.Err != "" {
+		t.Fatalf("bad result: type=%s err=%q", fr.Type, fr.Result.Err)
+	}
+	var got report.Sample
+	if err := json.Unmarshal(fr.Result.Sample, &got); err != nil {
+		t.Fatal(err)
+	}
+	got.Erroneous, got.ErrorDetail = w.Check(m)
+	diffSamples(t, "hop-limited stream", &got, want)
+	cli.Close()
+	<-sessionDone
+
+	if n := dials.Load(); n != 0 {
+		t.Errorf("a Hello at the hop limit dialed the owner %d times", n)
+	}
+	if s := csA.Router().Snapshot(); s.Misroutes != 1 || s.MembersDown != 0 || s.ForwardedFrames != 0 {
+		t.Errorf("router: %+v", s)
+	}
+	if n := eA.Report().Merged.Samples; n != 1 {
+		t.Errorf("nA published %d samples, want 1", n)
 	}
 }
 
@@ -696,12 +884,13 @@ func TestClusterStickyStream(t *testing.T) {
 	_, lnB := startClusterNode(t, "nB",
 		cluster.NewView(1, []cluster.Member{{ID: "nB", Addr: "unused"}}), ClusterOptions{})
 
-	eA := New(Options{Shards: 1, NodeID: "nA"})
+	eA := New(Options{Shards: 1})
 	defer shutdown(t, eA)
 	rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
 	// A history cap smaller than any frame: the stream is sticky from
 	// its first events frame on.
-	csA := NewClusterServer(eA, rtA, ClusterOptions{HistoryLimit: 16})
+	csA := NewClusterServer(eA, rtA, ClusterOptions{})
+	csA.historyLimit = 16
 	cli, srv := net.Pipe()
 	sessionDone := make(chan struct{})
 	go func() { csA.ServeConn(srv); close(sessionDone) }()
@@ -748,7 +937,7 @@ func TestClusterStickyStream(t *testing.T) {
 	if s := rtA.Snapshot(); s.HandoffsOut != 0 {
 		t.Errorf("sticky stream handed off: %+v", s)
 	}
-	if n := len(eA.Samples()); n != 1 {
+	if n := eA.Report().Merged.Samples; n != 1 {
 		t.Errorf("sticky stream published %d samples locally, want 1", n)
 	}
 }
@@ -791,13 +980,13 @@ func TestClusterForwardDifferential(t *testing.T) {
 	}
 	view := cluster.NewView(1, members)
 
-	eB := New(Options{Shards: 2, NodeID: "nB"})
+	eB := New(Options{Shards: 2})
 	defer shutdown(t, eB)
 	csB := NewClusterServer(eB, cluster.NewRouter("nB", view), ClusterOptions{})
 	go csB.Serve(lnB)
 	defer lnB.Close()
 
-	eA := New(Options{Shards: 2, NodeID: "nA"})
+	eA := New(Options{Shards: 2})
 	defer shutdown(t, eA)
 	rtA := cluster.NewRouter("nA", view)
 	csA := NewClusterServer(eA, rtA, ClusterOptions{})
@@ -821,10 +1010,10 @@ func TestClusterForwardDifferential(t *testing.T) {
 	if s := rtA.Snapshot(); s.Misroutes != 1 || s.ForwardedFrames == 0 || s.HandoffsOut != 0 {
 		t.Errorf("relay router: %+v", s)
 	}
-	if n := len(eA.Samples()); n != 0 {
+	if n := eA.Report().Merged.Samples; n != 0 {
 		t.Errorf("relay node published %d samples, want 0", n)
 	}
-	if n := len(eB.Samples()); n != 1 {
+	if n := eB.Report().Merged.Samples; n != 1 {
 		t.Errorf("owner published %d samples, want 1", n)
 	}
 }
@@ -853,7 +1042,7 @@ func TestClusterFailoverServesLocally(t *testing.T) {
 		{ID: "nA", Addr: "unused"},
 		{ID: "nB", Addr: deadAddr},
 	})
-	eA := New(Options{Shards: 2, NodeID: "nA"})
+	eA := New(Options{Shards: 2})
 	defer shutdown(t, eA)
 	rtA := cluster.NewRouter("nA", view)
 	csA := NewClusterServer(eA, rtA, ClusterOptions{})
@@ -878,7 +1067,7 @@ func TestClusterFailoverServesLocally(t *testing.T) {
 	if s.Epoch != view.Epoch+1 {
 		t.Errorf("epoch %d after mark-down, want %d", s.Epoch, view.Epoch+1)
 	}
-	if n := len(eA.Samples()); n != 1 {
+	if n := eA.Report().Merged.Samples; n != 1 {
 		t.Errorf("survivor published %d samples, want 1", n)
 	}
 }
@@ -888,7 +1077,7 @@ func TestClusterFailoverServesLocally(t *testing.T) {
 // the newer view unchanged.
 func TestClusterAssignExchange(t *testing.T) {
 	members := []cluster.Member{{ID: "nA", Addr: "a:1"}, {ID: "nB", Addr: "b:1"}}
-	eA := New(Options{Shards: 1, NodeID: "nA"})
+	eA := New(Options{Shards: 1})
 	defer shutdown(t, eA)
 	rtA := cluster.NewRouter("nA", cluster.NewView(1, members))
 	csA := NewClusterServer(eA, rtA, ClusterOptions{})
@@ -946,11 +1135,11 @@ func TestClusterGatherReport(t *testing.T) {
 	var engines []*Engine
 	var members []cluster.Member
 	for i := 0; i < 2; i++ {
-		e := New(Options{Shards: 2, NodeID: fmt.Sprintf("n%d", i)})
+		e := New(Options{Shards: 2})
 		defer shutdown(t, e)
 		engines = append(engines, e)
 		mux := http.NewServeMux()
-		mux.Handle("/samples", e.SamplesHandler())
+		mux.Handle("/digest", e.DigestHandler())
 		hs := httptest.NewServer(mux)
 		defer hs.Close()
 		members = append(members, cluster.Member{
@@ -1015,7 +1204,7 @@ func TestClusterGatherReport(t *testing.T) {
 // neither.
 func TestClusterObservability(t *testing.T) {
 	members := []cluster.Member{{ID: "nA", Addr: "a:1"}, {ID: "nB", Addr: "b:1"}}
-	e := New(Options{Shards: 1, NodeID: "nA"})
+	e := New(Options{Shards: 1})
 	defer shutdown(t, e)
 	rt := cluster.NewRouter("nA", cluster.NewView(3, members))
 	NewClusterServer(e, rt, ClusterOptions{})

@@ -21,8 +21,8 @@ package server
 // runs on each Events frame before the frame is journaled and ingested:
 // the frame joins the stream's recorded history, unless the view has
 // moved the key elsewhere — then the check ships the history, releases
-// the local stream (no sample, no anchors — the new owner publishes
-// them), and turns the session into a relay for the rest of the stream.
+// the local stream (no sample — the new owner publishes it), and turns
+// the session into a relay for the rest of the stream.
 // Nothing is handed off mid-frame, so the boundary is always a frame
 // boundary and the concatenated bytes the new owner sees are a valid
 // wire stream — the same property the journal's replay path proves —
@@ -52,6 +52,12 @@ import (
 // for a handoff that may never come.
 const DefaultHistoryLimit = 8 << 20
 
+// The Handoff payload carries the key (<= wire.MaxKeyLen, enforced at
+// Hello decode) and a few short fields besides the history; this fails
+// to compile unless their sum fits under the frame cap for any legal
+// key.
+const _ = uint(wire.MaxHandoffPayload - wire.MaxKeyLen - 4096 - DefaultHistoryLimit)
+
 // maxStreamHops bounds how many times a Hello may be relayed between
 // nodes. While views diverge (the anti-entropy window after a failure)
 // node A can believe B owns a key while B believes A does; without a
@@ -66,13 +72,12 @@ const maxStreamHops = 3
 // a connection and never answers cannot stall a stream.
 const peerTimeout = 5 * time.Second
 
+// errPeerToken is the exchange's token-mismatch failure: something
+// answered at the member's address, but not with this cluster's token.
+var errPeerToken = errors.New("peer token mismatch")
+
 // ClusterOptions tune a ClusterServer.
 type ClusterOptions struct {
-	// HistoryLimit caps per-stream history buffers; <= 0 means
-	// DefaultHistoryLimit. Clamped so key plus history always fit in
-	// one Handoff frame under wire.MaxHandoffPayload.
-	HistoryLimit int
-
 	// PeerToken authenticates the node-to-node plane: a connection must
 	// present it in an Assign frame before the node honors membership
 	// changes or stream handoffs from it. Every node of one cluster
@@ -91,23 +96,13 @@ type ClusterOptions struct {
 type ClusterServer struct {
 	eng          *Engine
 	rt           *cluster.Router
-	historyLimit int
+	historyLimit int // DefaultHistoryLimit; tests lower it
 	token        string
 	dial         func(addr string) (net.Conn, error)
 }
 
 // NewClusterServer wires an engine to a router.
 func NewClusterServer(e *Engine, rt *cluster.Router, opts ClusterOptions) *ClusterServer {
-	limit := opts.HistoryLimit
-	if limit <= 0 {
-		limit = DefaultHistoryLimit
-	}
-	// The Handoff payload carries the key (<= wire.MaxKeyLen, enforced
-	// at Hello decode) and a few short fields besides the history; the
-	// headroom keeps their sum under the frame cap for any legal key.
-	if max := wire.MaxHandoffPayload - wire.MaxKeyLen - 4096; limit > max {
-		limit = max
-	}
 	dial := opts.Dial
 	if dial == nil {
 		dial = func(addr string) (net.Conn, error) {
@@ -115,7 +110,7 @@ func NewClusterServer(e *Engine, rt *cluster.Router, opts ClusterOptions) *Clust
 		}
 	}
 	e.clusterRt = rt
-	return &ClusterServer{eng: e, rt: rt, historyLimit: limit, token: opts.PeerToken, dial: dial}
+	return &ClusterServer{eng: e, rt: rt, historyLimit: DefaultHistoryLimit, token: opts.PeerToken, dial: dial}
 }
 
 // tokenOK compares a presented peer token in constant time.
@@ -250,17 +245,11 @@ func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Strea
 	}
 	// Authenticate before shipping anything: the owner unlocks Handoff
 	// only after a token-valid Assign, and its reply doubles as
-	// anti-entropy — if it knows a newer view, re-check that this peer
-	// still owns the key before committing the transfer.
-	peer, pd, changed, err := cs.exchange(owner)
+	// anti-entropy — if it knows a newer view that moves the key, the
+	// next frame re-checks under that view.
+	peer, pd, err := cs.exchange(owner, st.key)
 	if err != nil {
 		return false, nil
-	}
-	if changed {
-		if now, ok := cs.rt.Owner(st.key); !ok || now.ID != owner.ID {
-			peer.Close()
-			return false, nil // next frame re-checks under the new view
-		}
 	}
 	pf := wire.NewFramer(peer, 1)
 	v := cs.rt.View()
@@ -296,16 +285,22 @@ func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Strea
 }
 
 // forward relays a misrouted stream to its owner from the Hello on.
-// When every remote owner is unreachable (each gets marked down) the
-// ring eventually routes the key back here and the stream is served
-// locally — availability over placement. The same policy bounds relay
-// chains: the Hello is re-emitted with its hop count bumped, and a
-// Hello that has already crossed maxStreamHops relays is served where
-// it is, so nodes with diverged views cannot bounce a stream between
-// each other indefinitely.
+// The owner is reached through the Assign exchange, so a peer that
+// accepts and never answers is marked down within peerTimeout, and a
+// newer view it knows is adopted before anything is relayed. When every
+// remote owner is unreachable (each gets marked down) the ring
+// eventually routes the key back here and the stream is served locally
+// — availability over placement. The same policy bounds relay chains:
+// the Hello is re-emitted with its hop count bumped, and a Hello that
+// has already crossed maxStreamHops relays is served where it is, so
+// nodes with diverged views cannot bounce a stream between each other
+// indefinitely. So is a stream whose owner answers with the wrong
+// token (it stays up, so re-routing would find it again). Both are
+// pinned here: served without a history, never handed off, so no
+// frame dials the owner again.
 func (cs *ClusterServer) forward(cw io.Writer, d *wire.Deframer, f *wire.Framer, hello wire.Hello) error {
 	if hello.Hops >= maxStreamHops {
-		return cs.serveLocal(cw, d, f, hello)
+		return cs.eng.serveStream(d, f, hello, hello.Key, nil)
 	}
 	relayed := hello
 	relayed.Hops++
@@ -314,21 +309,20 @@ func (cs *ClusterServer) forward(cw io.Writer, d *wire.Deframer, f *wire.Framer,
 		if !ok || owner.ID == cs.rt.Self() {
 			return cs.serveLocal(cw, d, f, hello)
 		}
-		peer, err := cs.dial(owner.Addr)
-		if err != nil {
-			cs.rt.MarkDown(owner.ID)
-			continue
+		peer, pd, err := cs.exchange(owner, hello.Key)
+		if errors.Is(err, errPeerToken) {
+			return cs.eng.serveStream(d, f, hello, hello.Key, nil)
 		}
-		err = func() error {
-			defer peer.Close()
-			pf := wire.NewFramer(peer, relayed.Threads)
-			if err := pf.WriteHello(relayed); err != nil {
-				return fmt.Errorf("cluster: relay to %s: %w", owner.ID, err)
-			}
-			cs.rt.NoteForwarded(1)
-			return cs.relayFrames(d, cw, peer, wire.NewDeframer(peer))
-		}()
-		return err
+		if err != nil {
+			continue // owner marked down, or its newer view moved the key
+		}
+		defer peer.Close()
+		_ = peer.SetDeadline(time.Time{})
+		if err := wire.NewFramer(peer, relayed.Threads).WriteHello(relayed); err != nil {
+			return fmt.Errorf("cluster: relay to %s: %w", owner.ID, err)
+		}
+		cs.rt.NoteForwarded(1)
+		return cs.relayFrames(d, cw, peer, pd)
 	}
 }
 
@@ -418,16 +412,17 @@ func writeRaw(w io.Writer, hdr, payload []byte) error {
 // adopt the view when it is newer. The connection carries a peerTimeout
 // deadline, so a peer that accepts but never answers fails like an
 // unreachable one: any dial, write, read or protocol failure marks m
-// down. A token mismatch leaves m up — something answered, just not a
-// member of this cluster, which is a config error to surface, not a
-// death. On success the caller owns the connection, its deadline still
-// set, and the deframer that read the reply (it may hold buffered
-// bytes); changed reports whether the peer's view was adopted.
-func (cs *ClusterServer) exchange(m cluster.Member) (conn net.Conn, d *wire.Deframer, changed bool, err error) {
+// down. A token mismatch (errPeerToken) leaves m up — something
+// answered, just not a member of this cluster, which is a config error
+// to surface, not a death. When key is set and the adopted view no
+// longer routes it to m, the exchange fails too, leaving m up. On
+// success the caller owns the connection, its deadline still set, and
+// the deframer that read the reply (it may hold buffered bytes).
+func (cs *ClusterServer) exchange(m cluster.Member, key string) (conn net.Conn, d *wire.Deframer, err error) {
 	conn, err = cs.dial(m.Addr)
 	if err != nil {
 		cs.rt.MarkDown(m.ID)
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	_ = conn.SetDeadline(time.Now().Add(peerTimeout))
 	d = wire.NewDeframer(conn)
@@ -442,14 +437,19 @@ func (cs *ClusterServer) exchange(m cluster.Member) (conn net.Conn, d *wire.Defr
 	if err != nil {
 		conn.Close()
 		cs.rt.MarkDown(m.ID)
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	if !cs.tokenOK(fr.Assign.Token) {
 		conn.Close()
-		return nil, nil, false, fmt.Errorf("cluster: peer token mismatch from %q at %s", fr.Assign.Origin, m.Addr)
+		return nil, nil, fmt.Errorf("cluster: %w from %q at %s", errPeerToken, fr.Assign.Origin, m.Addr)
 	}
-	_, changed = cs.rt.ApplyAssignment(fr.Assign)
-	return conn, d, changed, nil
+	if _, changed := cs.rt.ApplyAssignment(fr.Assign); changed && key != "" {
+		if now, ok := cs.rt.Owner(key); !ok || now.ID != m.ID {
+			conn.Close()
+			return nil, nil, fmt.Errorf("cluster: %s's view moves key %q", m.ID, key)
+		}
+	}
+	return conn, d, nil
 }
 
 // ProbePeer exchanges membership views with one peer — failure detector
@@ -458,7 +458,7 @@ func (cs *ClusterServer) ProbePeer(m cluster.Member) error {
 	if m.ID == cs.rt.Self() {
 		return nil
 	}
-	conn, _, _, err := cs.exchange(m)
+	conn, _, err := cs.exchange(m, "")
 	if err != nil {
 		return err
 	}
@@ -480,10 +480,9 @@ type ClusterNode struct {
 }
 
 // ClusterReport is the scatter-gather answer: every reachable node's
-// completed samples merged into one digest. report.MergeSamples orders
-// its input itself, so the Merged section is independent of node and
-// arrival order and byte-comparable against a single-process run over
-// the same streams.
+// run digest merged into one. Digests merge in any order, so the Merged
+// section is independent of node and arrival order and byte-comparable
+// against a single-process run over the same streams.
 type ClusterReport struct {
 	Self        string             `json:"self"`
 	Epoch       uint64             `json:"epoch"`
@@ -492,54 +491,57 @@ type ClusterReport struct {
 	Merged      report.MergedStats `json:"merged"`
 }
 
-// GatherReport fans out to every member's /samples endpoint and merges.
+// GatherReport fans out to every member's /digest endpoint and merges.
 func (cs *ClusterServer) GatherReport(ctx context.Context) ClusterReport {
 	v := cs.rt.View()
 	cr := ClusterReport{Self: cs.rt.Self(), Epoch: v.Epoch, RingVersion: v.Ring().Version()}
-	var all []*report.Sample
+	var all report.Digest
 	for _, m := range v.Members {
 		node := ClusterNode{ID: m.ID}
-		var samples []*report.Sample
+		var d report.Digest
 		var err error
 		if m.ID == cs.rt.Self() {
-			samples = cs.eng.Samples()
+			d = cs.eng.Digest()
 		} else {
-			samples, err = fetchSamples(ctx, m.HTTPAddr)
+			d, err = fetchDigest(ctx, m.HTTPAddr)
 		}
 		if err != nil {
 			node.Err = err.Error()
 		} else {
-			node.Samples = len(samples)
-			all = append(all, samples...)
+			node.Samples = d.Samples
+			all.Merge(d)
 		}
 		cr.Nodes = append(cr.Nodes, node)
 	}
-	cr.Merged = report.MergeSamples(all)
+	cr.Merged = all.MergedStats
 	return cr
 }
 
-// fetchSamples pulls one peer's raw sample list over its HTTP plane.
-func fetchSamples(ctx context.Context, httpAddr string) ([]*report.Sample, error) {
+// fetchDigest pulls one peer's run digest over its HTTP plane.
+func fetchDigest(ctx context.Context, httpAddr string) (report.Digest, error) {
+	var d report.Digest
 	if httpAddr == "" {
-		return nil, errors.New("peer has no http address")
+		return d, errors.New("peer has no http address")
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+httpAddr+"/samples", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+httpAddr+"/digest", nil)
 	if err != nil {
-		return nil, err
+		return d, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return nil, err
+		return d, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("peer /samples: %s", resp.Status)
+		return d, fmt.Errorf("peer /digest: %s", resp.Status)
 	}
-	var samples []*report.Sample
-	if err := json.NewDecoder(resp.Body).Decode(&samples); err != nil {
-		return nil, err
+	if err := json.NewDecoder(resp.Body).Decode(&d); err != nil {
+		return report.Digest{}, err
 	}
-	return samples, nil
+	if len(d.Keys) != len(d.Witnesses) {
+		return report.Digest{}, fmt.Errorf("peer /digest: %d keys for %d witnesses", len(d.Keys), len(d.Witnesses))
+	}
+	return d, nil
 }
 
 // GatherHandler serves the merged cluster report — the cluster-mode

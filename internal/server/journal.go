@@ -6,13 +6,14 @@ import (
 	"repro/internal/report"
 )
 
-// Violation anchors: the joint between live detection and the durable
-// journal. When a shard worker steps a journaled batch and the detector
-// count moves, the worker records the journal location of exactly that
-// batch's record. A violation report therefore carries its replay
-// coordinates end-to-end — seek the journal to (segment, offset), read
-// one CRC-checked record, and the raw wire frame whose events produced
-// the verdict is in hand.
+// Violation anchors: the joint between detection and the durable
+// journal. The journal is the a posteriori log: a serving daemon only
+// appends to it, and an anchored replay (ReplayJournalAnchored) steps
+// each journaled batch again. When the detector count moves, the shard
+// worker records the journal location of exactly that batch's record,
+// so each violation carries its replay coordinates — seek the journal
+// to (segment, offset), read one CRC-checked record, and the raw wire
+// frame whose events produced the verdict is in hand.
 
 // Anchor ties one detected violation to the journal record that
 // produced it.
@@ -35,30 +36,10 @@ type Anchor struct {
 	FirstSeq uint64 `json:"first_seq"`
 	LastSeq  uint64 `json:"last_seq"`
 
-	// Node names the cluster node whose journal holds Loc. Empty outside
-	// cluster mode — a single daemon's anchors all live in its own
-	// journal, so the field would only be noise there.
-	Node string `json:"node,omitempty"`
-
 	// Witness is the flight-recorder witness paired with this violation
 	// when the stream ran with witnesses on and the index is within the
 	// retention cap.
 	Witness *obs.Witness `json:"witness,omitempty"`
-}
-
-// StreamAnchors is one completed stream's violation anchors.
-type StreamAnchors struct {
-	Stream   uint64   `json:"stream"`
-	Workload string   `json:"workload"`
-	Seed     uint64   `json:"seed"`
-	Anchors  []Anchor `json:"anchors"`
-}
-
-// JournalReport is the /report journal section: store health plus every
-// completed stream's anchors.
-type JournalReport struct {
-	Stats   journal.Stats   `json:"stats"`
-	Streams []StreamAnchors `json:"streams,omitempty"`
 }
 
 // attachWitnesses pairs a close-time sample's retained witnesses with
@@ -82,17 +63,4 @@ func attachWitnesses(anchors []Anchor, sample *report.Sample) {
 			a.Witness = &ws[a.Index]
 		}
 	}
-}
-
-// journalReport assembles the Report's journal section. Caller must not
-// hold e.mu.
-func (e *Engine) journalReport() *JournalReport {
-	if e.opts.Journal == nil {
-		return nil
-	}
-	jr := &JournalReport{Stats: e.opts.Journal.Stats()}
-	e.mu.Lock()
-	jr.Streams = append(jr.Streams, e.anchors...)
-	e.mu.Unlock()
-	return jr
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/offline"
+	"repro/internal/report"
 	"repro/internal/vm"
 	"repro/internal/wire"
 	"repro/internal/workloads"
@@ -54,41 +56,10 @@ func serveJournaled(t *testing.T, jw *journal.Writer, cases []struct {
 		t.Fatal("session did not end after client hangup")
 	}
 
-	// Satellite: the engine report carries the journal section with
-	// per-stream anchors (queue-buggy produces violations).
-	rep := e.Report()
-	if rep.Journal == nil {
-		t.Fatal("journaled engine report has no journal section")
-	}
-	if rep.Journal.Stats.AppendedRecords == 0 {
-		t.Fatal("journal stats report no appends after a served run")
-	}
-	var anchored int
-	for _, sa := range rep.Journal.Streams {
-		anchored += len(sa.Anchors)
-		for _, a := range sa.Anchors {
-			if a.Detector != "svd" && a.Detector != "frd" {
-				t.Fatalf("anchor with bad detector: %+v", a)
-			}
-			if a.LastSeq < a.FirstSeq {
-				t.Fatalf("anchor seq range inverted: %+v", a)
-			}
-		}
-	}
-	if anchored == 0 {
-		t.Fatal("no violation anchors recorded for buggy workloads")
-	}
-	// Anchors pair with witnesses when retained (streams ran Witness).
-	var withWitness int
-	for _, sa := range rep.Journal.Streams {
-		for _, a := range sa.Anchors {
-			if a.Witness != nil {
-				withWitness++
-			}
-		}
-	}
-	if withWitness == 0 {
-		t.Fatal("no anchor carries its witness")
+	// The engine report carries the journal's store stats in its ingest
+	// snapshot.
+	if js := e.Report().Ingest.Journal; js == nil || js.AppendedRecords == 0 {
+		t.Fatalf("journaled engine report shows no journal appends: %+v", js)
 	}
 }
 
@@ -438,12 +409,16 @@ func TestDecodeAndDifferential(t *testing.T) {
 	}
 }
 
-// TestReplayJournalAnchored: a capture served WITHOUT witnesses still
-// anchors its violations; the anchored replay re-detects it on a
-// ForceWitness engine and re-derives a witness for every anchor, at the
-// same journal coordinates the live daemon recorded. This is svdreplay
-// -anchors in miniature — and the reason it runs on its own engine,
-// since forcing witnesses changes the sample encoding -verify compares.
+// TestReplayJournalAnchored: a capture served WITHOUT witnesses is
+// re-detected on a ForceWitness engine, which anchors every violation
+// to the journal record whose batch produced it and re-derives its
+// witness. This is svdreplay -anchors in miniature — and the reason it
+// runs on its own engine, since forcing witnesses changes the sample
+// encoding -verify compares. The serving daemon anchors nothing, so the
+// oracles are the journal itself: one anchor per violation and race the
+// journaled verdict counted (each up to its retention cap), every anchor
+// resolving to an Events record, and every witness's reporting access
+// inside its anchor's batch.
 func TestReplayJournalAnchored(t *testing.T) {
 	p := journal.InMemory()
 	jw, err := journal.OpenWriter(p, journal.Options{})
@@ -459,25 +434,20 @@ func TestReplayJournalAnchored(t *testing.T) {
 		close(sessionDone)
 	}()
 	c := NewClient(cli)
-	w, err := workloads.ByName("queue-buggy", 1, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := c.RunSample(w, 9, ReplayOptions{Scale: 1}); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		seed uint64
+	}{{"queue-buggy", 9}, {"apache-buggy", 2}} {
+		w, err := workloads.ByName(tc.name, 1, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.RunSample(w, tc.seed, ReplayOptions{Scale: 1}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cli.Close()
 	<-sessionDone
-
-	live := e.Report().Journal.Streams
-	if len(live) != 1 || len(live[0].Anchors) == 0 {
-		t.Fatalf("live engine recorded no anchors: %+v", live)
-	}
-	for _, a := range live[0].Anchors {
-		if a.Witness != nil {
-			t.Fatal("witnessless serve attached a witness")
-		}
-	}
 	if err := jw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -493,34 +463,109 @@ func TestReplayJournalAnchored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(streams) != 1 {
-		t.Fatalf("anchored replay covered %d streams, want 1", len(streams))
+	if len(streams) != 2 {
+		t.Fatalf("anchored replay covered %d streams, want 2", len(streams))
 	}
-	as := streams[0]
-	if as.Err != "" || as.Incomplete {
-		t.Fatalf("anchored replay not clean: %+v", as)
+	detectors := map[string]int{}
+	for _, as := range streams {
+		if as.Err != "" || as.Incomplete {
+			t.Fatalf("anchored replay not clean: %+v", as)
+		}
+		js, liveErr, ok := r.Result(as.Stream)
+		if !ok || liveErr != "" {
+			t.Fatalf("stream %d: no journaled verdict (%q)", as.Stream, liveErr)
+		}
+		var live report.Sample
+		if err := json.Unmarshal(js, &live); err != nil {
+			t.Fatal(err)
+		}
+		want := min(live.SVDStats.Violations, 1<<16) + min(live.FRDStats.Races, 1<<16)
+		if uint64(len(as.Anchors)) != want {
+			t.Fatalf("stream %d: replay anchored %d violations, the journaled verdict counts %d", as.Stream, len(as.Anchors), want)
+		}
+		for i, a := range as.Anchors {
+			detectors[a.Detector]++
+			if a.Detector != "svd" && a.Detector != "frd" {
+				t.Fatalf("anchor %d with bad detector: %+v", i, a)
+			}
+			if a.LastSeq < a.FirstSeq {
+				t.Fatalf("anchor %d seq range inverted: %+v", i, a)
+			}
+			if a.Witness == nil {
+				t.Fatalf("anchor %d has no re-derived witness", i)
+			}
+			if a.Witness.Detector != a.Detector {
+				t.Fatalf("anchor %d: witness detector %q != %q", i, a.Witness.Detector, a.Detector)
+			}
+			if a.Witness.Seq < a.FirstSeq || a.Witness.Seq > a.LastSeq {
+				t.Fatalf("anchor %d: witness seq %d outside its batch [%d, %d]", i, a.Witness.Seq, a.FirstSeq, a.LastSeq)
+			}
+			m, _, err := r.ReadAt(a.Loc)
+			if err != nil {
+				t.Fatalf("anchor %d does not resolve: %v", i, err)
+			}
+			if m.Kind != journal.KindEvents || m.Stream != as.Stream || m.FirstSeq != a.FirstSeq || m.LastSeq != a.LastSeq {
+				t.Fatalf("anchor %d resolves to wrong record: %+v vs %+v", i, m, a)
+			}
+		}
 	}
-	if len(as.Anchors) != len(live[0].Anchors) {
-		t.Fatalf("replay anchored %d violations, live anchored %d", len(as.Anchors), len(live[0].Anchors))
+	if detectors["svd"] == 0 || detectors["frd"] == 0 {
+		t.Fatalf("anchors by detector %v: the buggy workloads should anchor both", detectors)
 	}
-	for i, a := range as.Anchors {
-		la := live[0].Anchors[i]
-		if a.Detector != la.Detector || a.Index != la.Index || a.Loc != la.Loc ||
-			a.FirstSeq != la.FirstSeq || a.LastSeq != la.LastSeq {
-			t.Fatalf("anchor %d diverges from live: replay %+v live %+v", i, a, la)
-		}
-		if a.Witness == nil {
-			t.Fatalf("anchor %d has no re-derived witness", i)
-		}
-		if a.Witness.Detector != a.Detector {
-			t.Fatalf("anchor %d: witness detector %q != %q", i, a.Witness.Detector, a.Detector)
-		}
-		m, _, err := r.ReadAt(a.Loc)
-		if err != nil {
-			t.Fatalf("anchor %d does not resolve: %v", i, err)
-		}
-		if m.Kind != journal.KindEvents || m.FirstSeq != a.FirstSeq || m.LastSeq != a.LastSeq {
-			t.Fatalf("anchor %d resolves to wrong record: %+v vs %+v", i, m, a)
-		}
+}
+
+// TestRetiredStreamHeap: a closed stream leaves only its fold in the
+// engine's run digest behind. Witness-on queue-fixed streams carry
+// megabytes of witnesses each; after a warm-up, 16 more journaled
+// streams may grow the live heap by at most 128 KB apiece.
+func TestRetiredStreamHeap(t *testing.T) {
+	prov, err := journal.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
+	jw, err := journal.OpenWriter(prov, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jw.Close()
+	e := New(Options{Shards: 2, Journal: jw, StreamBase: jw.StreamBase(), Obs: obs.NewSink(obs.SinkOptions{}), Telemetry: true})
+	defer shutdown(t, e)
+	seed := uint64(0)
+	serve := func(n int) {
+		cli, srv := net.Pipe()
+		sessionDone := make(chan struct{})
+		go func() { e.ServeConn(srv); close(sessionDone) }()
+		c := NewClient(cli)
+		for i := 0; i < n; i++ {
+			seed++
+			w, err := workloads.ByName("queue-fixed", 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := c.RunSample(w, seed, ReplayOptions{Witness: true, Scale: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cli.Close()
+		<-sessionDone
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	serve(8)
+	before := heap()
+	const streams = 16
+	serve(streams)
+	after := heap()
+	if n := e.Report().Merged.Samples; n != 8+streams {
+		t.Fatalf("digest holds %d samples, want %d", n, 8+streams)
+	}
+	if after > before && (after-before)/streams > 128<<10 {
+		t.Fatalf("live heap grew %d KB per retired stream (%d -> %d bytes)", (after-before)/streams>>10, before, after)
+	}
+	t.Logf("live heap %d -> %d bytes over %d streams", before, after, streams)
 }

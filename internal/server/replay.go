@@ -262,9 +262,9 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 // Anchored replay: re-detect a capture with violation anchoring (and,
 // when the engine runs with Options.ForceWitness, flight-recorder
 // witnesses) regardless of what the original producer asked for. This
-// is the forensic half of the journal: a daemon that served a stream
-// without -witness still anchored its violations, and an anchored
-// replay re-derives the witness evidence for each of them after the
+// is the forensic half of the journal and the one place anchors come
+// from: a serving daemon only journals, and an anchored replay
+// re-derives each violation's anchor and witness evidence after the
 // fact. It runs the same replay loop as ReplayJournal and reads the
 // stream's anchors where -verify reads its verdict. It deliberately
 // does NOT byte-compare against the journaled verdict — forcing

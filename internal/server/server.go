@@ -140,21 +140,17 @@ type Options struct {
 	Obs *obs.Sink
 
 	// Journal, when set, is the durable store sessions append ingested
-	// wire frames to; shard workers then anchor every detected violation
-	// to the journal record whose batch produced it. In-process
-	// producers that bypass the wire (Stream.Ingest/IngestBatch) are not
+	// wire frames to, each before its batch reaches a shard. In-process
+	// producers that bypass the wire (Stream.IngestBatch) are not
 	// journaled — the journal records what arrived on the wire, exactly.
+	// Violation anchors are derived from it after the fact
+	// (ReplayJournalAnchored, svdreplay -anchors), not while serving.
 	Journal *journal.Writer
 
 	// StreamBase offsets engine-assigned stream ids. A daemon reopening
 	// a journal passes the writer's StreamBase() so ids stay unique
 	// across restarts sharing one journal directory.
 	StreamBase uint64
-
-	// NodeID names this engine's node in a detection cluster. Violation
-	// anchors carry it, so a merged cross-node report says which node's
-	// journal holds each anchor's record. Empty outside cluster mode.
-	NodeID string
 
 	// ForceWitness runs every stream's detectors with the flight
 	// recorder on, regardless of what its Hello asked for. Replay tools
@@ -232,9 +228,8 @@ type Engine struct {
 	clusterRt *cluster.Router
 
 	mu          sync.Mutex
-	samples     []*report.Sample      // completed stream reports, open-order
+	digest      report.Digest         // every published sample, folded in by the close job
 	open        map[uint64]*Stream    // registry behind Snapshot's stream table
-	anchors     []StreamAnchors       // journaled streams' violation anchors, close-order
 	conns       map[net.Conn]struct{} // connections of running sessions (serve)
 	connsClosed bool                  // CloseConns ran: refuse new connections
 }
@@ -252,8 +247,8 @@ type job struct {
 	sendNanos uint64
 	enq       time.Time
 
-	// loc is the journal record this batch was persisted as, valid when
-	// journaled is set; the worker anchors any violations the batch
+	// loc is the journal record this batch was replayed from, valid
+	// when journaled is set; the worker anchors any violations the batch
 	// produces to it.
 	loc       journal.Loc
 	journaled bool
@@ -347,8 +342,8 @@ type Stream struct {
 	lat       obs.Histogram
 	latReport *LatencyReport
 
-	// anchors collects the stream's violation anchors; worker-owned
-	// until the close job publishes them into the engine. anchorCapSVD
+	// anchors collects a replayed stream's violation anchors;
+	// worker-owned until the close job signals done. anchorCapSVD
 	// and anchorCapFRD bound it to the detectors' retention caps: a
 	// violation past the cap has no retained record or witness to point
 	// at, so anchoring it would grow the slice without bound on
@@ -479,9 +474,9 @@ func (s *Stream) IngestBatchAt(eb *vm.EventBatch, sendNanos uint64) {
 	s.ingest(job{st: s, eb: eb, sendNanos: sendNanos})
 }
 
-// IngestBatchJournaled is IngestBatchAt for a batch whose wire frame
-// was appended to the journal as the record at loc: the shard worker
-// anchors any violations the batch produces to that record.
+// IngestBatchJournaled is IngestBatchAt for a batch replayed from the
+// journal record at loc: the shard worker anchors any violations the
+// batch produces to that record.
 func (s *Stream) IngestBatchJournaled(eb *vm.EventBatch, sendNanos uint64, loc journal.Loc) {
 	s.ingest(job{st: s, eb: eb, sendNanos: sendNanos, loc: loc, journaled: true})
 }
@@ -549,14 +544,13 @@ func (s *Stream) Abort() {
 }
 
 // Release is the handoff drain: it tears the stream down like Abort but
-// records the teardown as a transfer, not a failure — no sample, no
-// anchors, and the handed-off counter moves instead of looking like a
-// dead producer. The caller has already captured the stream's frame
-// history; the new owner's replay rebuilds the detector state exactly,
-// which is why discarding the local detectors loses nothing. Returns
-// once every batch enqueued before the release has been stepped and the
-// shard has let go of the stream. Call exactly one of Close, Abort, or
-// Release.
+// records the teardown as a transfer, not a failure — no sample, and
+// the handed-off counter moves instead of looking like a dead producer.
+// The caller has already captured the stream's frame history; the new
+// owner's replay rebuilds the detector state exactly, which is why
+// discarding the local detectors loses nothing. Returns once every
+// batch enqueued before the release has been stepped and the shard has
+// let go of the stream. Call exactly one of Close, Abort, or Release.
 func (s *Stream) Release() {
 	s.released = true
 	s.sh.jobs <- job{st: s, close: true}
@@ -628,16 +622,7 @@ func (e *Engine) worker(sh *shard) {
 			attachWitnesses(st.anchors, st.sample)
 			e.mu.Lock()
 			delete(e.open, st.id)
-			if st.sample != nil {
-				e.samples = append(e.samples, sample)
-			}
-			// A released stream publishes no anchors — the new owner
-			// replays its history and owns its sample and anchors.
-			if len(st.anchors) > 0 && !st.released {
-				e.anchors = append(e.anchors, StreamAnchors{
-					Stream: st.id, Workload: st.w.Name, Seed: st.seed, Anchors: st.anchors,
-				})
-			}
+			e.digest.Add(st.sample)
 			e.mu.Unlock()
 			if st.released {
 				e.counters.streamsHandedOff.Add(1)
@@ -679,7 +664,6 @@ func (e *Engine) worker(sh *shard) {
 						st.anchors = append(st.anchors, Anchor{
 							Detector: "svd", Index: int(i), Loc: j.loc,
 							FirstSeq: firstSeq, LastSeq: lastSeq,
-							Node: e.opts.NodeID,
 						})
 					}
 				}
@@ -691,7 +675,6 @@ func (e *Engine) worker(sh *shard) {
 						st.anchors = append(st.anchors, Anchor{
 							Detector: "frd", Index: int(i), Loc: j.loc,
 							FirstSeq: firstSeq, LastSeq: lastSeq,
-							Node: e.opts.NodeID,
 						})
 					}
 				}
@@ -731,18 +714,18 @@ func (e *Engine) Counters() Counters {
 	}
 }
 
-// Samples returns the completed stream reports accumulated so far, in
-// completion order. The slice is a copy; the samples are immutable
-// after publication.
-func (e *Engine) Samples() []*report.Sample {
+// Digest returns the run digest: every completed stream's sample,
+// folded in at close. The copy stays valid while streams keep closing
+// (see report.Digest).
+func (e *Engine) Digest() report.Digest {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]*report.Sample(nil), e.samples...)
+	return e.digest
 }
 
 // Report is the query surface's answer: the run-level digest over every
 // completed stream plus the ingest odometer. Witnesses inside Merged
-// are deep copies (report.MergeSamples clones), so callers can hold the
+// are deep copies that no shard writes again, so callers can hold the
 // Report while shards keep draining.
 type Report struct {
 	Shards   int                `json:"shards"`
@@ -759,13 +742,9 @@ type Report struct {
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 
 	// Ingest is the live service snapshot: shard table, open-stream
-	// odometers, uptime.
+	// odometers, uptime, and the journal's store stats when the engine
+	// runs with one.
 	Ingest Snapshot `json:"ingest"`
-
-	// Journal is the durable-store section: writer health plus every
-	// completed stream's violation anchors with their witnesses. Nil
-	// when the engine runs without a journal.
-	Journal *JournalReport `json:"journal,omitempty"`
 }
 
 // Report builds the current query answer.
@@ -774,39 +753,33 @@ func (e *Engine) Report() Report {
 		Shards:   len(e.shards),
 		Policy:   e.opts.Policy.String(),
 		Counters: e.Counters(),
-		Merged:   report.MergeSamples(e.Samples()),
+		Merged:   e.Digest().MergedStats,
 		Ingest:   e.Snapshot(),
 	}
 	if e.opts.Obs != nil {
 		sn := e.opts.Obs.Snapshot()
 		r.Obs = &sn
 	}
-	r.Journal = e.journalReport()
 	return r
 }
 
 // ReportHandler serves the query surface as JSON — mounted on the
 // daemon's metrics mux next to /metrics and /debug/pprof.
-func (e *Engine) ReportHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(e.Report())
-	})
-}
+func (e *Engine) ReportHandler() http.Handler { return jsonHandler(func() any { return e.Report() }) }
 
-// SamplesHandler serves the engine's raw completed samples as a JSON
-// array — the scatter half of a cluster's scatter-gather /report: peers
-// fetch each node's samples and merge them with report.MergeSamples,
-// which orders them itself, so the merged digest is independent of
-// which node answered first.
-func (e *Engine) SamplesHandler() http.Handler {
+// DigestHandler serves the engine's run digest as JSON — the scatter
+// half of a cluster's scatter-gather /report: peers fetch each node's
+// digest and merge them, which needs no order, so the merged section is
+// independent of which node answered first.
+func (e *Engine) DigestHandler() http.Handler { return jsonHandler(func() any { return e.Digest() }) }
+
+// jsonHandler serves v() as indented JSON.
+func jsonHandler(v func() any) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(e.Samples())
+		_ = enc.Encode(v())
 	})
 }
 

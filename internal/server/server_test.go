@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -134,7 +135,7 @@ func TestShedPolicy(t *testing.T) {
 	if c.BatchesShed == 0 || c.StreamsShed != 1 {
 		t.Errorf("shed counters: %+v", c)
 	}
-	if len(e.Samples()) != 0 {
+	if e.Report().Merged.Samples != 0 {
 		t.Errorf("poisoned stream published a sample")
 	}
 }
@@ -415,6 +416,85 @@ func TestReportMergedIgnoresCloseOrder(t *testing.T) {
 	}
 	if a, b := merged(3, 5), merged(5, 3); a != b {
 		t.Errorf("merged digest depends on close order: %d vs %d bytes of JSON", len(a), len(b))
+	}
+}
+
+// TestDigestDuringClose: shard workers fold closing witness-on streams
+// into the run digest while readers marshal /report's merged section
+// and /digest. Under -race this is the proof that a copied digest is
+// never written again; the final digest must still equal the
+// in-process merge of the same samples.
+func TestDigestDuringClose(t *testing.T) {
+	e := New(Options{Shards: 2})
+	defer shutdown(t, e)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := json.Marshal(e.Report().Merged); err != nil {
+					t.Error(err)
+					return
+				}
+				rr := httptest.NewRecorder()
+				e.DigestHandler().ServeHTTP(rr, httptest.NewRequest("GET", "/digest", nil))
+				var d report.Digest
+				if err := json.Unmarshal(rr.Body.Bytes(), &d); err != nil || len(d.Keys) != len(d.Witnesses) {
+					t.Errorf("/digest: %v, %d keys for %d witnesses", err, len(d.Keys), len(d.Witnesses))
+					return
+				}
+			}
+		}()
+	}
+
+	seeds := []uint64{3, 4, 5, 6}
+	var producers sync.WaitGroup
+	for _, seed := range seeds {
+		producers.Add(1)
+		go func() {
+			defer producers.Done()
+			w, err := workloads.ByName("queue-buggy", 1, seed)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			batches, err := recordBatches(w, seed)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			st, err := e.OpenStream(hello(w, seed, true), "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, b := range batches {
+				ingestCopy(st, b)
+			}
+			if _, err := st.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	producers.Wait()
+	close(stop)
+	readers.Wait()
+
+	var want []*report.Sample
+	for _, seed := range seeds {
+		want = append(want, inProcess(t, "queue-buggy", seed))
+	}
+	got, _ := json.Marshal(e.Report().Merged)
+	exp, _ := json.Marshal(report.MergeSamples(want))
+	if string(got) != string(exp) {
+		t.Errorf("digest after concurrent closes differs from the in-process merge: %d vs %d bytes of JSON", len(got), len(exp))
 	}
 }
 

@@ -131,8 +131,8 @@ func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, hello wire.Hello,
 	d.SetProgram(st.w.Prog, st.w.NumThreads)
 
 	// Journaling persists each frame's raw wire bytes before its batch
-	// reaches a shard, so a violation anchor always points at a record
-	// already on disk. A journal write error downgrades the stream to
+	// reaches a shard, so the journal holds every batch a verdict was
+	// built from. A journal write error downgrades the stream to
 	// unjournaled rather than killing it: detection availability wins,
 	// and the writer's sticky error keeps later appends cheap.
 	jw := e.opts.Journal
@@ -179,15 +179,12 @@ func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, hello wire.Hello,
 				if n := eb.Len(); n > 0 {
 					first, last = eb.Seq[0], eb.Seq[n-1]
 				}
-				loc, jerr := jw.Append(journal.Meta{
+				if _, jerr := jw.Append(journal.Meta{
 					Kind: journal.KindEvents, Stream: st.id, FirstSeq: first, LastSeq: last,
-				}, hdr, payload)
-				if jerr == nil {
-					st.IngestBatchJournaled(eb, fr.SendNanos, loc)
-					continue
+				}, hdr, payload); jerr != nil {
+					e.opts.Logger.Warn("journal append failed; stream unjournaled", "stream", st.id, "err", jerr)
+					jw = nil
 				}
-				e.opts.Logger.Warn("journal append failed; stream unjournaled", "stream", st.id, "err", jerr)
-				jw = nil
 			}
 			st.IngestBatchAt(eb, fr.SendNanos)
 		case wire.FrameGoodbye:
