@@ -456,9 +456,10 @@ func BenchmarkHotPathSVDStepTelemetry(b *testing.B) {
 
 // BenchmarkHotPathSVDStepWitness measures the same stream with the
 // violation flight recorder on: every load/store also enters the
-// per-thread access ring. Compare against BenchmarkHotPathSVDStep for the
-// recorder's enabled cost; disabled the only difference is one nil check
-// per access, so the plain benchmark doubles as the disabled baseline.
+// per-thread access ring, and each violation folds into its site-pair
+// group. Compare against BenchmarkHotPathSVDStep for the recorder's
+// enabled cost; disabled the only difference is one nil check per
+// access, so the plain benchmark doubles as the disabled baseline.
 func BenchmarkHotPathSVDStepWitness(b *testing.B) {
 	w := workloads.PgSQLOLTP(workloads.PgSQLConfig{Warehouses: 4, Terminals: 4, Txns: 64, Seed: 1})
 	evs := recordEvents(b, w, 1<<22)
@@ -476,8 +477,14 @@ func BenchmarkHotPathSVDStepWitness(b *testing.B) {
 	}
 	b.StopTimer()
 	st := det.Stats()
-	if st.Witnesses != st.Violations {
-		b.Fatalf("witnesses = %d, violations = %d", st.Witnesses, st.Violations)
+	gs := det.WitnessGroups()
+	var sum uint64
+	for _, g := range gs {
+		sum += uint64(g.Count)
+	}
+	if st.Witnesses != uint64(len(gs)) || sum != st.Violations {
+		b.Fatalf("witnesses = %d for %d groups, group counts sum to %d for %d violations",
+			st.Witnesses, len(gs), sum, st.Violations)
 	}
 }
 

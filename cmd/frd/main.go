@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/frd"
+	"repro/internal/isa"
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -119,11 +120,7 @@ func run(workload, srcPath string, seed uint64, scale, cpus int, maxSteps uint64
 
 	if witness {
 		fmt.Println()
-		fmt.Print(obs.RenderForensicReport(det.Witnesses(), obs.ForensicOptions{
-			Loc:       prog.LocationOf,
-			Sym:       func(b int64) string { return prog.SymbolFor(b << opts.BlockShift) },
-			MaxGroups: maxShow,
-		}))
+		fmt.Print(forensicReport(prog, det.WitnessGroups(), opts.BlockShift, maxShow))
 	}
 
 	if rec != nil {
@@ -148,6 +145,16 @@ func run(workload, srcPath string, seed uint64, scale, cpus int, maxSteps uint64
 		fmt.Printf("outcome: erroneous=%v (%s)\n", bad, detail)
 	}
 	return nil
+}
+
+// forensicReport renders the -witness section: the detector's witness
+// groups, ranked, with symbol names folded in.
+func forensicReport(prog *isa.Program, gs []obs.WitnessGroup, blockShift uint, maxShow int) string {
+	return obs.RenderForensicReport(gs, obs.ForensicOptions{
+		Loc:       prog.LocationOf,
+		Sym:       func(b int64) string { return prog.SymbolFor(b << blockShift) },
+		MaxGroups: maxShow,
+	})
 }
 
 func buildMachine(workload, srcPath string, seed uint64, scale, cpus int) (*vm.VM, *workloads.Workload, error) {

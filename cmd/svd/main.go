@@ -11,12 +11,13 @@
 //	svd -workload apache-buggy -witness-json w.json
 //	svd -list
 //
-// -witness turns on the violation flight recorder (DESIGN.md §9): every
-// violation is paired with a causal witness, and the findings section ends
-// with a forensic report — per site pair, the victim unit's footprint, the
-// stale input, and the two-thread schedule that closed the cycle, folded
-// with the matching a posteriori examination finding. -witness-json dumps
-// the raw witnesses as JSON for tooling.
+// -witness turns on the violation flight recorder (DESIGN.md §9):
+// violations fold into site-pair groups, each with a count and the causal
+// witness of its first violation, and the findings section ends with a
+// forensic report — per site pair, the victim unit's footprint, the stale
+// input, and the two-thread schedule that closed the cycle, folded with
+// the matching a posteriori examination finding. -witness-json dumps the
+// witness groups as JSON for tooling.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"strings"
 
 	"repro/internal/buildinfo"
+	"repro/internal/isa"
 	"repro/internal/lang"
 	"repro/internal/obs"
 	"repro/internal/svd"
@@ -51,7 +53,7 @@ func main() {
 		blockLog2 = flag.Uint("block-shift", 0, "log2 words per detection block")
 		tracePath = flag.String("trace", "", "write CU lifecycle events as Chrome trace-event JSON to this file")
 		witness   = flag.Bool("witness", false, "enable the violation flight recorder and print the forensic report")
-		witnessJS = flag.String("witness-json", "", "write the raw violation witnesses to this file as JSON (implies -witness)")
+		witnessJS = flag.String("witness-json", "", "write the violation witness groups to this file as JSON (implies -witness)")
 		logLevel  = flag.String("log-level", "info", "operational log level: debug, info, warn, error")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
@@ -157,23 +159,18 @@ func run(workload, srcPath string, seed uint64, scale, cpus int, maxSteps uint64
 	}
 
 	if opts.Witness {
-		ws := det.Witnesses()
+		gs := det.WitnessGroups()
 		fmt.Println()
-		fmt.Print(obs.RenderForensicReport(ws, obs.ForensicOptions{
-			Loc:       prog.LocationOf,
-			Sym:       func(b int64) string { return prog.SymbolFor(b << opts.BlockShift) },
-			Annotate:  annotateFromFindings(findings),
-			MaxGroups: maxShow,
-		}))
+		fmt.Print(forensicReport(prog, gs, findings, opts.BlockShift, maxShow))
 		if witnessJSON != "" {
-			data, err := json.MarshalIndent(ws, "", "  ")
+			data, err := json.MarshalIndent(gs, "", "  ")
 			if err != nil {
 				return err
 			}
 			if err := os.WriteFile(witnessJSON, append(data, '\n'), 0o644); err != nil {
 				return err
 			}
-			slog.Info("witnesses written", "path", witnessJSON, "count", len(ws))
+			slog.Info("witness groups written", "path", witnessJSON, "count", len(gs))
 		}
 	}
 
@@ -215,6 +212,17 @@ func buildMachine(workload, srcPath string, seed uint64, scale, cpus int) (*vm.V
 	default:
 		return nil, nil, fmt.Errorf("pass -workload <name> (see -list) or -src <file.svl>")
 	}
+}
+
+// forensicReport renders the -witness section: the detector's witness
+// groups, ranked, with symbol names and examination findings folded in.
+func forensicReport(prog *isa.Program, gs []obs.WitnessGroup, findings []svd.Finding, blockShift uint, maxShow int) string {
+	return obs.RenderForensicReport(gs, obs.ForensicOptions{
+		Loc:       prog.LocationOf,
+		Sym:       func(b int64) string { return prog.SymbolFor(b << blockShift) },
+		Annotate:  annotateFromFindings(findings),
+		MaxGroups: maxShow,
+	})
 }
 
 // annotateFromFindings folds the a posteriori examination into the

@@ -57,10 +57,17 @@ type Options struct {
 
 	// Witness turns on the violation flight recorder (DESIGN.md §9),
 	// symmetric with svd.Options.Witness: each thread keeps a bounded
-	// ring of its recent data accesses, and every reported race is paired
-	// with an obs.Witness carrying the racy pair and the interleaving
-	// window sliced from the rings.
+	// ring of its recent data accesses, and races fold into site-pair
+	// groups (second PC, first PC). The first race of a group assembles
+	// the group's exemplar obs.Witness — the racy pair and the
+	// interleaving window sliced from the rings; later ones only bump
+	// its count.
 	Witness bool
+
+	// WitnessAll, with Witness, also assembles a witness for every race
+	// into a flat list that pairs index-for-index with Races()
+	// (AllWitnesses), as svd.Options.WitnessAll does for violations.
+	WitnessAll bool
 
 	// WitnessRing sets the per-thread access-ring capacity when Witness is
 	// on. Zero means obs.DefaultWitnessRing.
@@ -133,7 +140,7 @@ type Stats struct {
 	Stores       uint64
 	SyncOps      uint64 // accesses treated as synchronization
 	Races        uint64 // dynamic race instances (pre-cap)
-	Witnesses    uint64 // race witnesses assembled (== Races with Options.Witness)
+	Witnesses    uint64 // exemplar witnesses assembled: one per site-pair group (Options.Witness)
 
 	// Remote-propagation counters: per non-sync write the detector owes
 	// NumCPUs-1 potential read-epoch probes; RemoteSent counts the ones
@@ -193,10 +200,11 @@ type Detector struct {
 	// Options.Witness.
 	rings []*obs.AccessRing
 
-	races     []Race
-	witnesses []obs.Witness
-	sites     map[SiteKey]*Site
-	stats     Stats
+	races  []Race
+	groups obs.GroupSet  // site-pair witness groups (Options.Witness)
+	all    []obs.Witness // one witness per race (Options.WitnessAll)
+	sites  map[SiteKey]*Site
+	stats  Stats
 
 	// MRU cache over blockInfo: the last two blocks' resolved slots, so
 	// the block-local access runs the detectors' workloads exhibit skip
@@ -248,9 +256,18 @@ func (d *Detector) Reset() {
 // Races returns retained dynamic race records.
 func (d *Detector) Races() []Race { return d.races }
 
-// Witnesses returns the retained race witnesses. With Options.Witness the
-// slice pairs one-for-one with Races(); without it the slice is nil.
-func (d *Detector) Witnesses() []obs.Witness { return d.witnesses }
+// WitnessGroups returns the race witness groups, one per site pair
+// (second PC, first PC) in first-seen order, each with its exact count
+// and its first race's witness. The pair is ordered, unlike SiteKey: the
+// two directions of a racy pair are two groups. The number of groups is
+// capped at Options.MaxRaces; a race at a new pair past the cap is only
+// counted in Stats. Nil without Options.Witness. Callers must not modify
+// the slice.
+func (d *Detector) WitnessGroups() []obs.WitnessGroup { return d.groups.Groups() }
+
+// AllWitnesses returns one witness per retained race, pairing
+// index-for-index with Races(). Nil unless Options.WitnessAll.
+func (d *Detector) AllWitnesses() []obs.Witness { return d.all }
 
 // Stats returns aggregate counters.
 func (d *Detector) Stats() Stats { return d.stats }
@@ -484,19 +501,35 @@ func (d *Detector) report(b int64, first epoch, firstCPU int, firstWr bool, ev *
 	}
 	s.Count++
 	if d.opts.Witness {
-		w := d.buildWitness(r)
+		d.foldWitness(r)
+	}
+	if len(d.races) < d.opts.MaxRaces {
+		d.races = append(d.races, r)
+	}
+}
+
+// foldWitness folds race r into its site-pair group. Only a race that
+// opens a group (while fewer than MaxRaces groups exist) assembles a
+// witness, counted in Stats.Witnesses and handed to the recorder; every
+// later one at the pair only bumps the count. With WitnessAll every race
+// under the retention cap also assembles its own witness into the flat
+// list, in the races slice's order.
+func (d *Detector) foldWitness(r Race) {
+	var w obs.Witness
+	built := false
+	if !d.groups.Bump("frd", r.SecondPC, r.FirstPC) && d.groups.Len() < d.opts.MaxRaces {
+		w, built = d.buildWitness(r), true
 		d.stats.Witnesses++
 		if rec := d.rec; rec != nil {
 			rec.Witness(&w)
 		}
-		// Same cap and same order as the races slice, so retained witnesses
-		// pair with retained races index-for-index.
-		if len(d.witnesses) < d.opts.MaxRaces {
-			d.witnesses = append(d.witnesses, w)
-		}
+		d.groups.Open(w)
 	}
-	if len(d.races) < d.opts.MaxRaces {
-		d.races = append(d.races, r)
+	if d.opts.WitnessAll && len(d.all) < d.opts.MaxRaces {
+		if !built {
+			w = d.buildWitness(r)
+		}
+		d.all = append(d.all, w)
 	}
 }
 

@@ -1,21 +1,26 @@
 package frd
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
 // TestWitnessPairsWithEveryRace is FRD's half of the flight-recorder
-// acceptance check: each reported race carries a witness, one-for-one and
-// index-for-index, whose first/second accesses match the race record.
+// acceptance check. Under WitnessAll each reported race carries a
+// witness, one-for-one and index-for-index, whose first/second accesses
+// match the race record. The site-pair groups fold every race exactly
+// once (their counts sum to Races), Stats.Witnesses counts one
+// exemplar per group, and the groups are the fold of the flat list.
 func TestWitnessPairsWithEveryRace(t *testing.T) {
 	wl := workloads.ApacheLog(workloads.ApacheConfig{Threads: 4, Requests: 64, Buggy: true, Seed: 1})
 	m, err := wl.NewVM(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := New(wl.Prog, wl.NumThreads, Options{Witness: true})
+	d := New(wl.Prog, wl.NumThreads, Options{Witness: true, WitnessAll: true})
 	m.AttachColumns(d)
 	if _, err := m.Run(1 << 24); err != nil {
 		t.Fatal(err)
@@ -25,12 +30,23 @@ func TestWitnessPairsWithEveryRace(t *testing.T) {
 	if st.Races == 0 {
 		t.Fatal("no races; the pairing check needs a racy run")
 	}
-	if st.Witnesses != st.Races {
-		t.Errorf("witnesses = %d, races = %d, want equal", st.Witnesses, st.Races)
+	gs := d.WitnessGroups()
+	var sum uint64
+	for _, g := range gs {
+		sum += uint64(g.Count)
 	}
-	rs, ws := d.Races(), d.Witnesses()
+	if sum != st.Races {
+		t.Errorf("group counts sum to %d, races = %d, want equal", sum, st.Races)
+	}
+	if st.Witnesses != uint64(len(gs)) {
+		t.Errorf("witnesses = %d, groups = %d, want equal", st.Witnesses, len(gs))
+	}
+	rs, ws := d.Races(), d.AllWitnesses()
 	if len(ws) != len(rs) {
 		t.Fatalf("retained %d witnesses for %d races", len(ws), len(rs))
+	}
+	if got, want := obs.RankGroups(gs), obs.GroupWitnesses(ws); !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups are not the fold of the flat witness list:\n got %+v\nwant %+v", got, want)
 	}
 	for i := range rs {
 		r, w := rs[i], ws[i]
@@ -66,11 +82,11 @@ func TestWitnessScriptedRace(t *testing.T) {
 	s := newScript(2, Options{Witness: true})
 	s.store(0, 1, 100)
 	s.load(1, 2, 100)
-	ws := s.d.Witnesses()
-	if len(ws) != 1 {
-		t.Fatalf("witnesses = %d, want 1", len(ws))
+	gs := s.d.WitnessGroups()
+	if len(gs) != 1 || gs[0].Count != 1 || gs[0].PC != 2 || gs[0].ConflictPC != 1 {
+		t.Fatalf("groups = %+v, want one (pc 2, conflict pc 1) group of 1", gs)
 	}
-	w := ws[0]
+	w := gs[0].First
 	if w.Detector != "frd" || w.CPU != 1 || w.PC != 2 || w.Block != 100 {
 		t.Errorf("witness = %+v", w)
 	}
@@ -94,7 +110,7 @@ func TestWitnessDisabledCollectsNothing(t *testing.T) {
 	if s.d.Stats().Races != 1 {
 		t.Fatal("script did not race")
 	}
-	if s.d.Stats().Witnesses != 0 || s.d.Witnesses() != nil || s.d.rings != nil {
-		t.Errorf("witness machinery active with recorder off: %+v", s.d.Witnesses())
+	if s.d.Stats().Witnesses != 0 || s.d.WitnessGroups() != nil || s.d.AllWitnesses() != nil || s.d.rings != nil {
+		t.Errorf("witness machinery active with recorder off: %+v", s.d.WitnessGroups())
 	}
 }

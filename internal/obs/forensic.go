@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -25,29 +27,76 @@ type WitnessGroup struct {
 	First Witness `json:"first"`
 }
 
-// GroupWitnesses folds witnesses by (detector, reporting PC, conflicting
-// PC), ranked by descending count with PC-order tie-breaks — a stable,
-// map-iteration-independent order.
+// groupKey is a site pair: detector, reporting PC, conflicting PC.
+type groupKey struct {
+	det    string
+	pc, cp int64
+}
+
+// GroupSet folds reports into site-pair groups in first-seen order: the
+// first report at a pair opens the pair's group with its witness as the
+// exemplar, and every later report only bumps the count. The detectors
+// fold as they report, so they assemble one witness per group instead
+// of one per report (DESIGN.md §9). The zero value is empty and ready.
+type GroupSet struct {
+	groups []WitnessGroup
+	index  map[groupKey]int
+}
+
+// Bump counts one more report at the site pair (det, pc, conflictPC)
+// and reports whether the pair already had a group. It changes nothing
+// when it returns false.
+func (s *GroupSet) Bump(det string, pc, conflictPC int64) bool {
+	j, ok := s.index[groupKey{det, pc, conflictPC}]
+	if ok {
+		s.groups[j].Count++
+	}
+	return ok
+}
+
+// Open starts the group of w's site pair with w as its exemplar and a
+// count of one. The pair must not have a group yet (Bump said false).
+func (s *GroupSet) Open(w Witness) {
+	if s.index == nil {
+		s.index = make(map[groupKey]int)
+	}
+	s.index[groupKey{w.Detector, w.PC, w.Conflict.PC}] = len(s.groups)
+	s.groups = append(s.groups, WitnessGroup{
+		Detector: w.Detector, PC: w.PC, ConflictPC: w.Conflict.PC,
+		Count: 1, First: w,
+	})
+}
+
+// Len returns the number of groups.
+func (s *GroupSet) Len() int { return len(s.groups) }
+
+// Groups returns the groups in first-seen order; nil when empty. The
+// slice is the set's own: callers must not modify it.
+func (s *GroupSet) Groups() []WitnessGroup { return s.groups }
+
+// Clone returns an independent copy. Exemplars are shared, which is
+// safe because nothing rewrites a witness once its group is open.
+func (s *GroupSet) Clone() GroupSet {
+	return GroupSet{groups: slices.Clone(s.groups), index: maps.Clone(s.index)}
+}
+
+// GroupWitnesses folds a flat witness list by (detector, reporting PC,
+// conflicting PC) and ranks the groups with RankGroups. It is the
+// reference the detectors' folding is tested against.
 func GroupWitnesses(ws []Witness) []WitnessGroup {
-	type key struct {
-		det    string
-		pc, cp int64
-	}
-	idx := make(map[key]int)
-	var out []WitnessGroup
+	var s GroupSet
 	for i := range ws {
-		w := &ws[i]
-		k := key{w.Detector, w.PC, w.Conflict.PC}
-		if j, ok := idx[k]; ok {
-			out[j].Count++
-			continue
+		if w := &ws[i]; !s.Bump(w.Detector, w.PC, w.Conflict.PC) {
+			s.Open(*w)
 		}
-		idx[k] = len(out)
-		out = append(out, WitnessGroup{
-			Detector: w.Detector, PC: w.PC, ConflictPC: w.Conflict.PC,
-			Count: 1, First: *w,
-		})
 	}
+	return RankGroups(s.Groups())
+}
+
+// RankGroups returns a copy of groups ranked by descending count with
+// PC-order tie-breaks — a stable, map-iteration-independent order.
+func RankGroups(groups []WitnessGroup) []WitnessGroup {
+	out := slices.Clone(groups)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
 			return out[i].Count > out[j].Count
@@ -109,15 +158,20 @@ func (o ForensicOptions) sym(b int64) string {
 	return fmt.Sprintf("block %d", b)
 }
 
-// RenderForensicReport renders witnesses as a ranked human-readable
-// report: one section per site pair, the interleaving window of the
-// exemplar witness printed as the two-thread schedule that closed the
-// cycle.
-func RenderForensicReport(ws []Witness, opts ForensicOptions) string {
+// RenderForensicReport renders site-pair groups as a ranked
+// human-readable report: one section per group in RankGroups order, the
+// interleaving window of its exemplar witness printed as the two-thread
+// schedule that closed the cycle. The header counts every report the
+// groups fold, not just the exemplars.
+func RenderForensicReport(groups []WitnessGroup, opts ForensicOptions) string {
 	opts = opts.withDefaults()
-	groups := GroupWitnesses(ws)
+	groups = RankGroups(groups)
+	total := 0
+	for _, g := range groups {
+		total += g.Count
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "forensic report: %d witnesses at %d site pairs\n", len(ws), len(groups))
+	fmt.Fprintf(&b, "forensic report: %d witnesses at %d site pairs\n", total, len(groups))
 	for i, g := range groups {
 		if i >= opts.MaxGroups {
 			fmt.Fprintf(&b, "... %d more site pairs\n", len(groups)-opts.MaxGroups)

@@ -15,7 +15,7 @@ type Metrics struct {
 	Violations uint64
 	LogTriples uint64
 	Races      uint64
-	Witnesses  uint64 // violation/race witnesses assembled (flight recorder)
+	Witnesses  uint64 // witnesses assembled by the flight recorder: one per site-pair group
 
 	// Arena counters, folded in at FlushObs.
 	ArenaAllocated uint64

@@ -135,7 +135,7 @@ func (m *Metrics) WriteFamilies(o *OpenMetricsWriter) {
 	counter("violations", "dynamic serializability violations", m.Violations)
 	counter("log_triples", "dynamic (s, rw, lw) log occurrences", m.LogTriples)
 	counter("races", "dynamic happens-before races", m.Races)
-	counter("witnesses", "violation witnesses assembled by the flight recorder", m.Witnesses)
+	counter("witnesses", "witnesses assembled by the flight recorder, one per site-pair group", m.Witnesses)
 	counter("arena_allocated", "units carved fresh from slabs", m.ArenaAllocated)
 	counter("arena_reused", "units served from the free list", m.ArenaReused)
 	counter("arena_recycled", "units returned to the free list", m.ArenaRecycled)

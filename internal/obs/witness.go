@@ -6,12 +6,14 @@ package obs
 // cycle, the way RegionTrack and AeroDrome print the schedule behind an
 // atomicity report. Each detector thread keeps a small bounded ring of its
 // recent accesses; when SVD's strict-2PL check fires (or FRD flags a race)
-// the detector slices the victim's and the conflicting thread's rings into
-// an interleaving window and attaches the victim unit's footprint, the
-// local access that created the stale input block, and the conflicting
-// remote access. This file defines the witness model; forensic.go renders
-// it, and Recorder.Witness injects it into the Chrome trace as a clickable
-// flow arrow from the conflicting access to the reporting store.
+// at a site pair for the first time, the detector slices the victim's and
+// the conflicting thread's rings into an interleaving window and attaches
+// the victim unit's footprint, the local access that created the stale
+// input block, and the conflicting remote access. Later reports at the
+// pair only bump its count (GroupSet). This file defines the witness
+// model; forensic.go groups and renders it, and Recorder.Witness injects
+// it into the Chrome trace as a clickable flow arrow from the conflicting
+// access to the reporting store.
 
 // WitnessAccess is one dynamic memory access inside a witness: the thread,
 // program point, block, direction, virtual timestamp (the VM's global
@@ -171,8 +173,9 @@ func MergeWindow(a, b []WitnessAccess, max int) []WitnessAccess {
 // and — when tracing — an instant event on the victim thread plus a flow
 // arrow from the conflicting access to the reporting store, so the
 // violation is clickable in Perfetto next to the CU events that produced
-// it. Exactly one call per witness the detector counts, so trace "witness"
-// events match Stats().Witnesses one-for-one.
+// it. Exactly one call per witness the detector counts — one per
+// site-pair group's exemplar — so trace "witness" events match
+// Stats().Witnesses one-for-one.
 func (r *Recorder) Witness(w *Witness) {
 	if r == nil {
 		return

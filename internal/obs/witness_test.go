@@ -108,6 +108,34 @@ func TestGroupWitnessesOrdering(t *testing.T) {
 	}
 }
 
+// TestWitnessGroupSet: a GroupSet keeps groups in first-seen order with
+// the first witness at each pair as the exemplar; Bump changes nothing
+// for an unseen pair; a clone is independent of later folds.
+func TestWitnessGroupSet(t *testing.T) {
+	var s GroupSet
+	if s.Bump("svd", 10, 20) || s.Len() != 0 || s.Groups() != nil {
+		t.Fatal("empty set bumped an unseen pair")
+	}
+	first := Witness{Detector: "svd", Seq: 1, PC: 10, Conflict: WitnessAccess{PC: 20}}
+	s.Open(first)
+	s.Open(Witness{Detector: "frd", Seq: 2, PC: 10, Conflict: WitnessAccess{PC: 20}})
+	c := s.Clone()
+	if !s.Bump("svd", 10, 20) || !s.Bump("svd", 10, 20) || s.Bump("svd", 20, 10) {
+		t.Fatal("Bump disagrees with the open pairs")
+	}
+	gs := s.Groups()
+	if len(gs) != 2 || gs[0].Count != 3 || gs[0].First.Seq != first.Seq || gs[1].Detector != "frd" || gs[1].Count != 1 {
+		t.Fatalf("groups = %+v", gs)
+	}
+	if cg := c.Groups(); len(cg) != 2 || cg[0].Count != 1 {
+		t.Fatalf("clone followed later bumps: %+v", cg)
+	}
+	// RankGroups sorts a copy: the set keeps first-seen order.
+	if r := RankGroups(gs); r[0].Count != 3 || s.Groups()[1].Detector != "frd" {
+		t.Fatalf("ranked %+v from %+v", r, s.Groups())
+	}
+}
+
 func TestRenderForensicReport(t *testing.T) {
 	stale := acc(1, 3, 7, false)
 	ws := []Witness{{
@@ -116,7 +144,7 @@ func TestRenderForensicReport(t *testing.T) {
 		Conflict: acc(0, 5, 7, true),
 		Window:   []WitnessAccess{acc(1, 3, 7, false), acc(0, 5, 7, true), {CPU: 1, PC: 90, Block: 7, Write: true, Seq: 9}},
 	}}
-	out := RenderForensicReport(ws, ForensicOptions{
+	out := RenderForensicReport(GroupWitnesses(ws), ForensicOptions{
 		Sym:      func(b int64) string { return "shared_var" },
 		Annotate: func(g WitnessGroup) string { return "examiner: note" },
 	})
@@ -135,9 +163,14 @@ func TestRenderForensicReport(t *testing.T) {
 		}
 	}
 	// FRD witnesses render as data races.
-	frd := []Witness{{Detector: "frd", Seq: 9, CPU: 1, PC: 90, Block: 7, Conflict: acc(0, 5, 7, true)}}
+	frd := []WitnessGroup{{Detector: "frd", PC: 90, ConflictPC: 5, Count: 4,
+		First: Witness{Detector: "frd", Seq: 9, CPU: 1, PC: 90, Block: 7, Conflict: acc(0, 5, 7, true)}}}
 	if out := RenderForensicReport(frd, ForensicOptions{}); !strings.Contains(out, "data race") {
 		t.Errorf("frd witness not rendered as data race:\n%s", out)
+	}
+	// The header counts every folded report, not just the exemplars.
+	if out := RenderForensicReport(frd, ForensicOptions{}); !strings.HasPrefix(out, "forensic report: 4 witnesses at 1 site pairs\n") {
+		t.Errorf("header does not sum the group counts:\n%s", out)
 	}
 }
 

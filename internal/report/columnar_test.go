@@ -54,6 +54,24 @@ func chopAtSwitches(evs []vm.Event) []*vm.EventBatch {
 	return batches
 }
 
+// recordEvents runs w to completion and returns its event stream.
+func recordEvents(t *testing.T, w *workloads.Workload, seed uint64) []vm.Event {
+	t.Helper()
+	m, err := w.NewVM(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evs []vm.Event
+	m.Attach(vm.ObserverFunc(func(ev *vm.Event) { evs = append(evs, *ev) }))
+	if _, err := m.Run(1 << 24); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Done() {
+		t.Fatalf("%s did not finish", w.Name)
+	}
+	return evs
+}
+
 // detectorOutputs collects everything a finished detector pair exposes.
 type detectorOutputs struct {
 	Sample       *Sample
@@ -80,19 +98,7 @@ func TestColumnarDifferential(t *testing.T) {
 	for name, build := range workloads.Registry(scale, seed) {
 		w := build()
 		t.Run(name, func(t *testing.T) {
-			m, err := w.NewVM(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var evs []vm.Event
-			m.Attach(vm.ObserverFunc(func(ev *vm.Event) { evs = append(evs, *ev) }))
-			if _, err := m.Run(1 << 24); err != nil {
-				t.Fatal(err)
-			}
-			if !m.Done() {
-				t.Fatalf("%s did not finish", name)
-			}
-
+			evs := recordEvents(t, w, seed)
 			opts := svd.Options{Witness: true}
 			fopts := frd.Options{Witness: true}
 			sd := svd.New(w.Prog, w.NumThreads, opts)

@@ -13,39 +13,39 @@ import (
 // TestMergeSamplesClonesWitnesses pins the deep copy in MergeSamples: the
 // merged digest is handed to concurrent readers (the detection server's
 // query surface serves it while shards still publish), so sharing the
-// samples' witness backing arrays would be a data race. A struct copy
+// samples' exemplar backing arrays would be a data race. A struct copy
 // aliases Inputs/Outputs/Window/Stale; the merge must clone them.
 func TestMergeSamplesClonesWitnesses(t *testing.T) {
 	stale := &obs.WitnessAccess{CPU: 1, PC: 10, Block: 7, Seq: 3}
 	s := &Sample{
-		SVDWitnesses: []obs.Witness{{
+		SVDWitnesses: []obs.WitnessGroup{{Detector: "svd", Count: 3, First: obs.Witness{
 			Detector: "svd",
 			Inputs:   []int64{1, 2, 3},
 			Outputs:  []int64{4},
 			Window:   []obs.WitnessAccess{{CPU: 0, PC: 5, Block: 1, Seq: 9}},
 			Stale:    stale,
-		}},
-		FRDWitnesses: []obs.Witness{{
+		}}},
+		FRDWitnesses: []obs.WitnessGroup{{Detector: "frd", Count: 1, First: obs.Witness{
 			Detector: "frd",
 			Window:   []obs.WitnessAccess{{CPU: 2, PC: 6, Block: 2, Seq: 11}},
-		}},
+		}}},
 	}
 	m := MergeSamples([]*Sample{s})
-	if len(m.Witnesses) != 2 {
-		t.Fatalf("merged %d witnesses, want 2", len(m.Witnesses))
+	if len(m.Witnesses) != 2 || m.Witnesses[0].Count != 3 {
+		t.Fatalf("merged %d groups (%+v), want 2", len(m.Witnesses), m.Witnesses)
 	}
 
-	m.Witnesses[0].Inputs[0] = -1
-	m.Witnesses[0].Outputs[0] = -1
-	m.Witnesses[0].Window[0].PC = -1
-	m.Witnesses[0].Stale.PC = -1
-	m.Witnesses[1].Window[0].PC = -1
+	m.Witnesses[0].First.Inputs[0] = -1
+	m.Witnesses[0].First.Outputs[0] = -1
+	m.Witnesses[0].First.Window[0].PC = -1
+	m.Witnesses[0].First.Stale.PC = -1
+	m.Witnesses[1].First.Window[0].PC = -1
 
-	w := s.SVDWitnesses[0]
+	w := s.SVDWitnesses[0].First
 	if w.Inputs[0] != 1 || w.Outputs[0] != 4 || w.Window[0].PC != 5 || w.Stale.PC != 10 {
 		t.Errorf("mutating the merged digest reached the sample's witness: %+v", w)
 	}
-	if s.FRDWitnesses[0].Window[0].PC != 6 {
+	if s.FRDWitnesses[0].First.Window[0].PC != 6 {
 		t.Errorf("mutating the merged digest reached the FRD witness")
 	}
 	if stale.PC != 10 {
@@ -53,14 +53,14 @@ func TestMergeSamplesClonesWitnesses(t *testing.T) {
 	}
 }
 
-// TestMergeSamplesCap: the digest stays bounded however many witnesses
-// the samples carry.
+// TestMergeSamplesCap: the digest stays bounded however many witness
+// groups the samples carry.
 func TestMergeSamplesCap(t *testing.T) {
-	many := make([]obs.Witness, MaxMergedWitnesses)
+	many := make([]obs.WitnessGroup, MaxMergedWitnesses)
 	s := &Sample{SVDWitnesses: many, FRDWitnesses: many}
 	m := MergeSamples([]*Sample{s, s})
 	if len(m.Witnesses) != MaxMergedWitnesses {
-		t.Errorf("digest holds %d witnesses, want cap %d", len(m.Witnesses), MaxMergedWitnesses)
+		t.Errorf("digest holds %d groups, want cap %d", len(m.Witnesses), MaxMergedWitnesses)
 	}
 }
 
@@ -238,8 +238,8 @@ func TestMergeSamplesScaleTie(t *testing.T) {
 
 // referenceMerge is the merge the digest replaces, kept as its oracle:
 // stably sort the whole sample set, sum the counters, and take the
-// first MaxMergedWitnesses witnesses in that order, SVD's before FRD's
-// within a sample.
+// first MaxMergedWitnesses witness groups in that order, SVD's before
+// FRD's within a sample, never combining groups across samples.
 func referenceMerge(samples []*Sample) MergedStats {
 	samples = append([]*Sample(nil), samples...)
 	SortSamples(samples)
@@ -251,10 +251,10 @@ func referenceMerge(samples []*Sample) MergedStats {
 		m.Samples++
 		m.SVD.Add(s.SVDStats)
 		m.FRD.Add(s.FRDStats)
-		for _, ws := range [][]obs.Witness{s.SVDWitnesses, s.FRDWitnesses} {
-			for _, w := range ws {
+		for _, gs := range [][]obs.WitnessGroup{s.SVDWitnesses, s.FRDWitnesses} {
+			for _, g := range gs {
 				if len(m.Witnesses) < MaxMergedWitnesses {
-					m.Witnesses = append(m.Witnesses, w)
+					m.Witnesses = append(m.Witnesses, g)
 				}
 			}
 		}
@@ -277,6 +277,18 @@ func TestDigestMatchesSortedMerge(t *testing.T) {
 		}
 		samples = append(samples, ss...)
 	}
+	// Samples carry one group per site pair, not one witness per
+	// report; queue-buggy opens about 38 per sample, so eight seeds of
+	// it push the total past the cap.
+	qb, err := workloads.ByName("queue-buggy", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := RunMany(qb, Seeds(5, 8), Options{Witness: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples = append(samples, ss...)
 	for _, scale := range []int{1, 2} {
 		w, err := workloads.ByName("queue-buggy", scale, 3)
 		if err != nil {
@@ -296,7 +308,7 @@ func TestDigestMatchesSortedMerge(t *testing.T) {
 		}
 	}
 	if witnesses <= MaxMergedWitnesses {
-		t.Fatalf("only %d witnesses; the cap would not be exercised", witnesses)
+		t.Fatalf("only %d witness groups; the cap would not be exercised", witnesses)
 	}
 	js := func(m MergedStats) string {
 		t.Helper()

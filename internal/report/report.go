@@ -86,11 +86,12 @@ type Sample struct {
 	SVDStats svd.Stats
 	FRDStats frd.Stats
 
-	// SVDWitnesses and FRDWitnesses are the flight-recorder witnesses the
-	// detectors assembled, paired one-for-one with their retained reports.
-	// Nil unless Options.Witness.
-	SVDWitnesses []obs.Witness `json:"svd_witnesses,omitempty"`
-	FRDWitnesses []obs.Witness `json:"frd_witnesses,omitempty"`
+	// SVDWitnesses and FRDWitnesses are the detectors' flight-recorder
+	// witness groups: one per site pair in first-seen order, each with
+	// its exact report count and its first report's witness (see
+	// svd.Detector.WitnessGroups). Nil unless Options.Witness.
+	SVDWitnesses []obs.WitnessGroup `json:"svd_witnesses,omitempty"`
+	FRDWitnesses []obs.WitnessGroup `json:"frd_witnesses,omitempty"`
 }
 
 // Options tune a sample run.
@@ -106,7 +107,7 @@ type Options struct {
 	Obs *obs.Sink
 
 	// Witness enables both detectors' flight recorders and carries their
-	// witnesses into each Sample.
+	// witness groups into each Sample.
 	Witness bool
 }
 
@@ -165,8 +166,8 @@ func Run(w *workloads.Workload, seed uint64, opts Options) (*Sample, error) {
 }
 
 // Classify builds the detection report for a pair of finished detectors:
-// counters, witnesses, site classification against the workload's ground
-// truth, and the a posteriori log scan. It is the tail of Run, split out
+// counters, witness groups, site classification against the workload's
+// ground truth, and the a posteriori log scan. It is the tail of Run, split out
 // so a detection service that received the event stream over the wire
 // (internal/server) produces reports bit-identical to an in-process run
 // by construction — only Erroneous/ErrorDetail stay empty there, because
@@ -179,8 +180,8 @@ func Classify(w *workloads.Workload, seed uint64, sd *svd.Detector, fd *frd.Dete
 		CUs:          sd.Stats().CUsLive(),
 		SVDStats:     sd.Stats(),
 		FRDStats:     fd.Stats(),
-		SVDWitnesses: sd.Witnesses(),
-		FRDWitnesses: fd.Witnesses(),
+		SVDWitnesses: sd.WitnessGroups(),
+		FRDWitnesses: fd.WitnessGroups(),
 	}
 	s.SVD = classifySVD(w, sd)
 	s.FRD = classifyFRD(w, fd)
@@ -202,16 +203,17 @@ type MergedStats struct {
 	SVD     svd.Stats `json:"svd"`
 	FRD     frd.Stats `json:"frd"`
 
-	// Witnesses collects the samples' flight-recorder witnesses (SVD's
-	// first, then FRD's, in SortSamples order), capped at
-	// MaxMergedWitnesses. The per-sample slices remain complete; this is
+	// Witnesses collects the samples' witness groups (SVD's first, then
+	// FRD's, in SortSamples order), capped at MaxMergedWitnesses. Groups
+	// are never combined across samples: each keeps its own sample's
+	// count and exemplar. The per-sample slices remain complete; this is
 	// the run-level digest the JSON emitters attach. Empty unless
 	// Options.Witness.
-	Witnesses []obs.Witness `json:"witnesses,omitempty"`
+	Witnesses []obs.WitnessGroup `json:"witnesses,omitempty"`
 }
 
-// MaxMergedWitnesses caps the witnesses MergedStats retains across a run
-// set; full per-violation witness lists stay on the individual samples.
+// MaxMergedWitnesses caps the witness groups MergedStats retains across
+// a run set; every group stays on its individual sample.
 const MaxMergedWitnesses = 256
 
 // SampleKey is the order the merged witness section follows: workload,
@@ -253,20 +255,21 @@ func SortSamples(samples []*Sample) {
 
 // Digest is MergedStats made mergeable: Keys[i] is the SampleKey of
 // Witnesses[i]'s sample, so later samples, or another digest, enter the
-// capped witness section at their place in SortSamples order. Folding
+// capped group section at their place in SortSamples order. Folding
 // samples in any order, or merging the digests of any partition of
 // them, gives the MergedStats of the whole set. Add and Merge replace
 // the Witnesses and Keys slices instead of writing into them, and never
-// rewrite a witness, so a copy of a Digest stays valid while the
-// original keeps folding.
+// rewrite a group, so a copy of a Digest stays valid while the original
+// keeps folding.
 type Digest struct {
 	MergedStats
 	Keys []SampleKey `json:"keys,omitempty"`
 }
 
-// Add folds one sample into the digest; nil is ignored. Only witnesses
-// that fall inside the cap are copied in, as deep copies: a struct copy
-// would share its Inputs/Outputs/Window backing arrays with the sample.
+// Add folds one sample into the digest; nil is ignored. Only groups
+// that fall inside the cap are copied in, with deep-copied exemplars: a
+// struct copy would share the witness's Inputs/Outputs/Window backing
+// arrays with the sample.
 func (d *Digest) Add(s *Sample) {
 	if s == nil {
 		return
@@ -274,12 +277,13 @@ func (d *Digest) Add(s *Sample) {
 	k := keyOf(s)
 	room := MaxMergedWitnesses - sort.Search(len(d.Keys), func(i int) bool { return k.less(d.Keys[i]) })
 	one := Digest{MergedStats: MergedStats{Samples: 1, SVD: s.SVDStats, FRD: s.FRDStats}}
-	for _, ws := range [][]obs.Witness{s.SVDWitnesses, s.FRDWitnesses} {
-		for _, w := range ws {
+	for _, gs := range [][]obs.WitnessGroup{s.SVDWitnesses, s.FRDWitnesses} {
+		for _, g := range gs {
 			if len(one.Witnesses) >= room {
 				break
 			}
-			one.Witnesses = append(one.Witnesses, w.Clone())
+			g.First = g.First.Clone()
+			one.Witnesses = append(one.Witnesses, g)
 			one.Keys = append(one.Keys, k)
 		}
 	}
@@ -287,8 +291,8 @@ func (d *Digest) Add(s *Sample) {
 }
 
 // Merge folds another digest into d, keeping the MaxMergedWitnesses
-// lowest-keyed witnesses of both; on equal keys d's witnesses stay
-// first. o must be well formed: one key per witness, keys sorted.
+// lowest-keyed groups of both; on equal keys d's groups stay first. o
+// must be well formed: one key per group, keys sorted.
 func (d *Digest) Merge(o Digest) {
 	d.Samples += o.Samples
 	d.SVD.Add(o.SVD)
@@ -297,7 +301,7 @@ func (d *Digest) Merge(o Digest) {
 		return
 	}
 	n := min(len(d.Witnesses)+len(o.Witnesses), MaxMergedWitnesses)
-	ws, keys := make([]obs.Witness, 0, n), make([]SampleKey, 0, n)
+	ws, keys := make([]obs.WitnessGroup, 0, n), make([]SampleKey, 0, n)
 	i, j := 0, 0
 	for len(ws) < n {
 		if j == len(o.Keys) || i < len(d.Keys) && !o.Keys[j].less(d.Keys[i]) {

@@ -173,6 +173,10 @@ func TestClusterHandoffDifferential(t *testing.T) {
 			if s := rtA.Snapshot(); s.HandoffsOut != 1 || s.HandoffsInFlight != 0 || s.Misroutes != 0 {
 				t.Errorf("origin router: %+v", s)
 			}
+			// The owner's handoff session ends after it writes the
+			// Result, which can reach the client first, so its in-flight
+			// gauge settles on its own schedule (as in the chain test).
+			waitFor(t, "owner handoff settled", func() bool { return csB.Router().Snapshot().HandoffsInFlight == 0 })
 			if s := csB.Router().Snapshot(); s.HandoffsIn != 1 || s.HandoffsInFlight != 0 {
 				t.Errorf("owner router: %+v", s)
 			}
@@ -555,6 +559,29 @@ func TestClusterForwardStalledPeer(t *testing.T) {
 	}
 }
 
+// foreignTokenDial is a ClusterOptions.Dial whose every peer answers
+// the Assign exchange with another cluster's token; it counts dials.
+func foreignTokenDial(dials *atomic.Int32) func(string) (net.Conn, error) {
+	return func(string) (net.Conn, error) {
+		dials.Add(1)
+		c, peer := net.Pipe()
+		go func() {
+			defer peer.Close()
+			d := wire.NewDeframer(peer)
+			d.ExpectAssigns()
+			fr, err := d.ReadFrame()
+			if err != nil || fr.Type != wire.FrameAssign {
+				return
+			}
+			a := fr.Assign
+			a.Token = "another cluster"
+			_ = wire.NewFramer(peer, 1).WriteAssign(a)
+			_, _ = io.Copy(io.Discard, peer)
+		}()
+		return c, nil
+	}
+}
+
 // TestClusterForwardTokenMismatch: the key's owner answers the Assign
 // exchange, but with another cluster's token. It is not marked down —
 // something answered — so re-routing would pick it again; the stream is
@@ -573,24 +600,7 @@ func TestClusterForwardTokenMismatch(t *testing.T) {
 	eA := New(Options{Shards: 2})
 	defer shutdown(t, eA)
 	var dials atomic.Int32
-	csA := NewClusterServer(eA, cluster.NewRouter("nA", view), ClusterOptions{Dial: func(string) (net.Conn, error) {
-		dials.Add(1)
-		c, peer := net.Pipe()
-		go func() {
-			defer peer.Close()
-			d := wire.NewDeframer(peer)
-			d.ExpectAssigns()
-			fr, err := d.ReadFrame()
-			if err != nil || fr.Type != wire.FrameAssign {
-				return
-			}
-			a := fr.Assign
-			a.Token = "another cluster"
-			_ = wire.NewFramer(peer, 1).WriteAssign(a)
-			_, _ = io.Copy(io.Discard, peer)
-		}()
-		return c, nil
-	}})
+	csA := NewClusterServer(eA, cluster.NewRouter("nA", view), ClusterOptions{Dial: foreignTokenDial(&dials)})
 	cli, srv := net.Pipe()
 	sessionDone := make(chan struct{})
 	go func() { csA.ServeConn(srv); close(sessionDone) }()
@@ -607,6 +617,88 @@ func TestClusterForwardTokenMismatch(t *testing.T) {
 	}
 	if s := csA.Router().Snapshot(); s.MembersDown != 0 || s.Misroutes != 1 || s.ForwardedFrames != 0 {
 		t.Errorf("router: %+v", s)
+	}
+	if n := eA.Report().Merged.Samples; n != 1 {
+		t.Errorf("nA published %d samples, want 1", n)
+	}
+}
+
+// TestClusterHandoffTokenMismatch: after frame 1 the stream's key moves
+// to an owner that answers the Assign exchange with another cluster's
+// token. It is not marked down — something answered — so re-checking
+// the next frame would find it again; the stream is pinned locally
+// instead, exactly as forward pins a misrouted one. Exactly one dial,
+// no handoff, and the sample is the in-process one.
+func TestClusterHandoffTokenMismatch(t *testing.T) {
+	const name = "queue-buggy"
+	const seed = uint64(9)
+	w, err := workloads.ByName(name, 1, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, m := collectEvents(t, w, seed)
+	want := inProcess(t, name, seed)
+
+	eA := New(Options{Shards: 2})
+	defer shutdown(t, eA)
+	rtA := cluster.NewRouter("nA", cluster.NewView(1, []cluster.Member{{ID: "nA", Addr: "unused"}}))
+	var dials atomic.Int32
+	csA := NewClusterServer(eA, rtA, ClusterOptions{Dial: foreignTokenDial(&dials)})
+	moved := cluster.NewView(2, []cluster.Member{{ID: "nA", Addr: "unused"}, {ID: "nX", Addr: "nX"}})
+	key := keyOwnedBy(t, moved, "nX")
+	cli, srv := net.Pipe()
+	sessionDone := make(chan struct{})
+	go func() { csA.ServeConn(srv); close(sessionDone) }()
+
+	const cut = 7
+	f := wire.NewFramer(cli, w.NumThreads)
+	d := wire.NewDeframer(cli)
+	d.ExpectResults()
+	if err := f.WriteHello(wire.Hello{
+		Version: wire.Version, Threads: w.NumThreads, Workload: name,
+		Scale: 1, Seed: seed, Witness: true, Key: key,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRows(f, evs[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "frame 1 ingest", func() bool { return eA.Counters().Events >= cut })
+	rtA.ApplyAssignment(moved.Assignment("test"))
+	frames := 0
+	for i := cut; i < len(evs); i += vm.DefaultBatchCap {
+		if err := writeRows(f, evs[i:min(i+vm.DefaultBatchCap, len(evs))]); err != nil {
+			t.Fatal(err)
+		}
+		frames++
+	}
+	if err := f.WriteGoodbye(); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := d.ReadFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr.Type != wire.FrameResult || fr.Result.Err != "" {
+		t.Fatalf("bad result: type=%s err=%q", fr.Type, fr.Result.Err)
+	}
+	var got report.Sample
+	if err := json.Unmarshal(fr.Result.Sample, &got); err != nil {
+		t.Fatal(err)
+	}
+	got.Erroneous, got.ErrorDetail = w.Check(m)
+	diffSamples(t, "token-mismatch handoff stream", &got, want)
+	cli.Close()
+	<-sessionDone
+
+	if n := dials.Load(); n != 1 {
+		t.Errorf("dialed the mismatched owner %d times over %d frames past the move, want 1", n, frames)
+	}
+	if s := rtA.Snapshot(); s.MembersDown != 0 || s.HandoffsOut != 0 || s.ForwardedFrames != 0 {
+		t.Errorf("router: %+v", s)
+	}
+	if c := eA.Counters(); c.StreamsHandedOff != 0 {
+		t.Errorf("handed off %d streams, want 0", c.StreamsHandedOff)
 	}
 	if n := eA.Report().Merged.Samples; n != 1 {
 		t.Errorf("nA published %d samples, want 1", n)

@@ -235,9 +235,12 @@ func (cs *ClusterServer) serveLocal(cw io.Writer, d *wire.Deframer, f *wire.Fram
 // first frame past the ownership boundary, relayed to the new owner
 // right after the history. Returns done=false (and keeps the stream
 // local) when no reachable remote owner exists; an unreachable owner is
-// marked down, so the next frame's re-check routes around it. Once the
-// Handoff frame is written the transfer is committed: the local stream
-// is released and the session relays the live tail.
+// marked down, so the next frame's re-check routes around it. An owner
+// that answers with another cluster's token stays up, so re-checking
+// would dial it again on every frame: the stream is pinned here
+// instead, as forward pins a misrouted one. Once the Handoff frame is
+// written the transfer is committed: the local stream is released and
+// the session relays the live tail.
 func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Stream, hist *cluster.History, eb *vm.EventBatch, fhdr, fpayload []byte) (bool, error) {
 	owner, ok := cs.rt.Owner(st.key)
 	if !ok || owner.ID == cs.rt.Self() {
@@ -249,6 +252,9 @@ func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Strea
 	// next frame re-checks under that view.
 	peer, pd, err := cs.exchange(owner, st.key)
 	if err != nil {
+		if errors.Is(err, errPeerToken) {
+			hist.MarkSticky()
+		}
 		return false, nil
 	}
 	pf := wire.NewFramer(peer, 1)
@@ -539,7 +545,7 @@ func fetchDigest(ctx context.Context, httpAddr string) (report.Digest, error) {
 		return report.Digest{}, err
 	}
 	if len(d.Keys) != len(d.Witnesses) {
-		return report.Digest{}, fmt.Errorf("peer /digest: %d keys for %d witnesses", len(d.Keys), len(d.Witnesses))
+		return report.Digest{}, fmt.Errorf("peer /digest: %d keys for %d witness groups", len(d.Keys), len(d.Witnesses))
 	}
 	return d, nil
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"repro/internal/journal"
 	"repro/internal/obs"
-	"repro/internal/report"
 )
 
 // Violation anchors: the joint between detection and the durable
@@ -24,7 +23,7 @@ type Anchor struct {
 
 	// Index is the violation's ordinal in the detector's pre-cap count;
 	// when below the retention cap it indexes the detector's retained
-	// violation and witness slices.
+	// violations and, under WitnessAll, its flat witness list.
 	Index int `json:"index"`
 
 	// Loc addresses the journaled Events record whose batch moved the
@@ -37,27 +36,22 @@ type Anchor struct {
 	LastSeq  uint64 `json:"last_seq"`
 
 	// Witness is the flight-recorder witness paired with this violation
-	// when the stream ran with witnesses on and the index is within the
-	// retention cap.
+	// when the stream ran with WitnessAll (Options.ForceWitness) and the
+	// index is within the retention cap.
 	Witness *obs.Witness `json:"witness,omitempty"`
 }
 
-// attachWitnesses pairs a close-time sample's retained witnesses with
-// the stream's anchors, index-for-index per detector. Witness retention
-// and violation retention share a cap and an order (both append in
-// detection order), so Index addresses both slices.
-func attachWitnesses(anchors []Anchor, sample *report.Sample) {
-	if sample == nil {
-		return
-	}
+// attachWitnesses pairs a completed stream's flat witness lists
+// (Detector.AllWitnesses, one per retained report) with its anchors,
+// index-for-index per detector. The flat list and the violation list
+// share a cap and an order (both append in detection order), so Index
+// addresses both.
+func attachWitnesses(anchors []Anchor, svdAll, frdAll []obs.Witness) {
 	for i := range anchors {
 		a := &anchors[i]
-		var ws []obs.Witness
-		switch a.Detector {
-		case "svd":
-			ws = sample.SVDWitnesses
-		case "frd":
-			ws = sample.FRDWitnesses
+		ws := svdAll
+		if a.Detector == "frd" {
+			ws = frdAll
 		}
 		if a.Index < len(ws) {
 			a.Witness = &ws[a.Index]

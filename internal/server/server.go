@@ -153,9 +153,11 @@ type Options struct {
 	StreamBase uint64
 
 	// ForceWitness runs every stream's detectors with the flight
-	// recorder on, regardless of what its Hello asked for. Replay tools
-	// use it to re-detect anchored violations with witnesses; a serving
-	// daemon leaves it off so the client's Witness flag stays in charge.
+	// recorder on, regardless of what its Hello asked for, and with
+	// WitnessAll, so every retained violation has its own witness for
+	// its anchor. Replay tools use it to re-detect anchored violations
+	// with witnesses; a serving daemon leaves it off so the client's
+	// Witness flag stays in charge.
 	ForceWitness bool
 
 	// Telemetry enables the ingest path's own instrumentation: per-batch
@@ -571,6 +573,10 @@ func (e *Engine) worker(sh *shard) {
 				svdOpts.Witness = true
 				frdOpts.Witness = true
 			}
+			if e.opts.ForceWitness {
+				svdOpts.WitnessAll = true
+				frdOpts.WitnessAll = true
+			}
 			if e.opts.Obs != nil {
 				st.rec = e.opts.Obs.NewRecorder(fmt.Sprintf("%s seed %d stream %d", st.w.Name, st.seed, st.id))
 				svdOpts.Recorder = st.rec
@@ -619,7 +625,9 @@ func (e *Engine) worker(sh *shard) {
 			if st.lat.Count > 0 {
 				st.latReport = &LatencyReport{Batches: st.lat.Count, WireToVerdictNs: st.lat}
 			}
-			attachWitnesses(st.anchors, st.sample)
+			if st.sample != nil {
+				attachWitnesses(st.anchors, st.sd.AllWitnesses(), st.fd.AllWitnesses())
+			}
 			e.mu.Lock()
 			delete(e.open, st.id)
 			e.digest.Add(st.sample)

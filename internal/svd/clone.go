@@ -1,6 +1,9 @@
 package svd
 
-import "repro/internal/blockstore"
+import (
+	"repro/internal/blockstore"
+	"repro/internal/obs"
+)
 
 // Clone deep-copies the detector. Backward error recovery snapshots the
 // detector together with the machine: the paper's hardware BER keeps the
@@ -22,6 +25,8 @@ func (d *Detector) Clone() *Detector {
 		stats:  d.stats,
 	}
 	nd.violations = append([]Violation(nil), d.violations...)
+	nd.groups = d.groups.Clone()
+	nd.all = append([]obs.Witness(nil), d.all...)
 	nd.logEntries = append([]LogEntry(nil), d.logEntries...)
 	nd.logSeen = make(map[logKey]int, len(d.logSeen))
 	for k, v := range d.logSeen {

@@ -93,12 +93,21 @@ type Options struct {
 	NoInterestIndex bool
 
 	// Witness turns on the violation flight recorder (DESIGN.md §9): each
-	// thread keeps a bounded ring of its recent accesses, and every
-	// reported violation is paired with an obs.Witness capturing the
-	// victim unit's footprint, the stale input access, the conflicting
-	// remote access, and the interleaving window sliced from the rings.
-	// Off (the default) the hot path pays one nil check per access.
+	// thread keeps a bounded ring of its recent accesses, and violations
+	// fold into site-pair groups (store PC, conflicting PC). The first
+	// violation of a group assembles the group's exemplar obs.Witness —
+	// the victim unit's footprint, the stale input access, the
+	// conflicting remote access, and the interleaving window sliced from
+	// the rings; later ones only bump its count. Off (the default) the
+	// hot path pays one nil check per access.
 	Witness bool
+
+	// WitnessAll, with Witness, also assembles a witness for every
+	// violation into a flat list that pairs index-for-index with
+	// Violations() (AllWitnesses) — the evidence anchored journal replay
+	// attaches to each anchor. Groups, stats and telemetry are the same
+	// with or without it.
+	WitnessAll bool
 
 	// WitnessRing sets the per-thread access-ring capacity when Witness is
 	// on. Zero means obs.DefaultWitnessRing.
@@ -273,7 +282,7 @@ type Stats struct {
 	RemoteSkipped uint64
 
 	Violations      uint64 // dynamic violation reports (pre-cap)
-	Witnesses       uint64 // violation witnesses assembled (== Violations with Options.Witness)
+	Witnesses       uint64 // exemplar witnesses assembled: one per site-pair group (Options.Witness)
 	LogEntries      uint64 // dynamic (s, rw, lw) log occurrences (pre-cap)
 	SharedCutLoads  uint64 // CU cuts caused by loads of Stored_Shared blocks
 	SharedCutRemote uint64 // CU cuts caused by remote access to True_Dep blocks
@@ -384,7 +393,8 @@ type Detector struct {
 
 	nextCU     uint64
 	violations []Violation
-	witnesses  []obs.Witness
+	groups     obs.GroupSet  // site-pair witness groups (Options.Witness)
+	all        []obs.Witness // one witness per violation (Options.WitnessAll)
 	sites      map[int64]*Site
 	logEntries []LogEntry
 	logSeen    map[logKey]int // static triple -> index in logEntries
@@ -436,10 +446,17 @@ func (d *Detector) Reset() {
 // Violations returns the retained dynamic violation reports.
 func (d *Detector) Violations() []Violation { return d.violations }
 
-// Witnesses returns the retained violation witnesses. With Options.Witness
-// the slice pairs one-for-one with Violations(); without it the slice is
-// nil.
-func (d *Detector) Witnesses() []obs.Witness { return d.witnesses }
+// WitnessGroups returns the violation witness groups, one per site pair
+// (store PC, conflicting PC) in first-seen order, each with its exact
+// count and its first violation's witness. The number of groups is
+// capped at Options.MaxViolations; a violation at a new pair past the
+// cap is only counted in Stats. Nil without Options.Witness. Callers
+// must not modify the slice.
+func (d *Detector) WitnessGroups() []obs.WitnessGroup { return d.groups.Groups() }
+
+// AllWitnesses returns one witness per retained violation, pairing
+// index-for-index with Violations(). Nil unless Options.WitnessAll.
+func (d *Detector) AllWitnesses() []obs.Witness { return d.all }
 
 // Log returns a copy of the retained a posteriori examination log.
 // Entries are deduplicated by static (s, rw, lw) PC triple;
@@ -1195,16 +1212,7 @@ func (t *threadState) reportIfConflict(ev *vm.Event, c *cu, blocks *blockSet) bo
 			r.Violation(t.d.stats.Instructions, t.id, ev.PC, b, c.id)
 		}
 		if t.d.opts.Witness {
-			w := t.buildWitness(v, c, bs)
-			t.d.stats.Witnesses++
-			if r := t.d.rec; r != nil {
-				r.Witness(&w)
-			}
-			// Same cap and same order as the violations slice, so retained
-			// witnesses pair with retained violations index-for-index.
-			if len(t.d.witnesses) < t.d.opts.MaxViolations {
-				t.d.witnesses = append(t.d.witnesses, w)
-			}
+			t.foldWitness(v, c, bs)
 		}
 		if len(t.d.violations) < t.d.opts.MaxViolations {
 			t.d.violations = append(t.d.violations, v)

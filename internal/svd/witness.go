@@ -11,6 +11,32 @@ import (
 // strict-2PL violation; the hot path's whole contribution is the ring
 // append in load/store.
 
+// foldWitness folds violation v into its site-pair group. Only a
+// violation that opens a group (while fewer than MaxViolations groups
+// exist) assembles a witness, counted in Stats.Witnesses and handed to
+// the recorder; every later one at the pair only bumps the count. With
+// WitnessAll every violation under the retention cap also assembles its
+// own witness into the flat list, in the violations slice's order.
+func (t *threadState) foldWitness(v Violation, c *cu, bs *blockState) {
+	d := t.d
+	var w obs.Witness
+	built := false
+	if !d.groups.Bump("svd", v.StorePC, v.ConflictPC) && d.groups.Len() < d.opts.MaxViolations {
+		w, built = t.buildWitness(v, c, bs), true
+		d.stats.Witnesses++
+		if r := d.rec; r != nil {
+			r.Witness(&w)
+		}
+		d.groups.Open(w)
+	}
+	if d.opts.WitnessAll && len(d.all) < d.opts.MaxViolations {
+		if !built {
+			w = t.buildWitness(v, c, bs)
+		}
+		d.all = append(d.all, w)
+	}
+}
+
 // buildWitness captures the evidence behind one violation: the victim
 // unit's footprint, the local access that pulled the conflicted block into
 // the unit, the conflicting remote access, and the interleaving window

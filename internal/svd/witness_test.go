@@ -26,8 +26,11 @@ func table2Witness(t *testing.T, w *workloads.Workload, seed uint64, opts Option
 }
 
 // TestWitnessPairsWithEveryViolation is the acceptance check: on Table 2
-// workloads every violation carries a witness, one-for-one and index-for-
-// index, and each witness's conflicting access matches the violation's.
+// workloads under WitnessAll every violation carries a witness,
+// one-for-one and index-for-index, and each witness's conflicting access
+// matches the violation's. The site-pair groups fold every violation
+// exactly once (their counts sum to Violations), Stats.Witnesses counts
+// one exemplar per group, and the groups are the fold of the flat list.
 func TestWitnessPairsWithEveryViolation(t *testing.T) {
 	var totalViolations uint64
 	for _, wl := range []*workloads.Workload{
@@ -36,15 +39,16 @@ func TestWitnessPairsWithEveryViolation(t *testing.T) {
 		workloads.MySQLTables(workloads.MySQLTablesConfig{Lockers: 3, Ops: 80}),
 		workloads.PgSQLOLTP(workloads.PgSQLConfig{Warehouses: 4, Terminals: 4, Txns: 128, Seed: 1}),
 	} {
-		d := table2Witness(t, wl, 1, Options{Witness: true})
+		d := table2Witness(t, wl, 1, Options{Witness: true, WitnessAll: true})
 		st := d.Stats()
 		totalViolations += st.Violations
-		if st.Witnesses != st.Violations {
-			t.Errorf("%s: witnesses = %d, violations = %d, want equal", wl.Name, st.Witnesses, st.Violations)
-		}
-		vs, ws := d.Violations(), d.Witnesses()
+		checkGroups(t, wl.Name, d)
+		vs, ws := d.Violations(), d.AllWitnesses()
 		if len(ws) != len(vs) {
 			t.Fatalf("%s: retained %d witnesses for %d violations", wl.Name, len(ws), len(vs))
+		}
+		if got, want := obs.RankGroups(d.WitnessGroups()), obs.GroupWitnesses(ws); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: groups are not the fold of the flat witness list:\n got %+v\nwant %+v", wl.Name, got, want)
 		}
 		for i := range vs {
 			v, w := vs[i], ws[i]
@@ -61,6 +65,60 @@ func TestWitnessPairsWithEveryViolation(t *testing.T) {
 	}
 	if totalViolations == 0 {
 		t.Fatal("no workload produced a violation; the pairing check is vacuous")
+	}
+}
+
+// checkGroups verifies the per-group invariants of a run whose groups
+// stayed under the cap: counts sum to Violations, Stats.Witnesses counts
+// one exemplar per group, pairs are distinct, and each exemplar reports
+// at its group's pair.
+func checkGroups(t *testing.T, name string, d *Detector) {
+	t.Helper()
+	st, gs := d.Stats(), d.WitnessGroups()
+	var sum uint64
+	seen := map[[2]int64]bool{}
+	for i, g := range gs {
+		sum += uint64(g.Count)
+		k := [2]int64{g.PC, g.ConflictPC}
+		if seen[k] {
+			t.Fatalf("%s: group %d repeats site pair %v", name, i, k)
+		}
+		seen[k] = true
+		if g.Detector != "svd" || g.First.Detector != "svd" || g.First.PC != g.PC || g.First.Conflict.PC != g.ConflictPC || g.Count < 1 {
+			t.Fatalf("%s: group %d is malformed: %+v", name, i, g)
+		}
+		checkWindow(t, name, i, g.First)
+	}
+	if sum != st.Violations {
+		t.Errorf("%s: group counts sum to %d, violations = %d, want equal", name, sum, st.Violations)
+	}
+	if st.Witnesses != uint64(len(gs)) {
+		t.Errorf("%s: witnesses = %d, groups = %d, want equal", name, st.Witnesses, len(gs))
+	}
+}
+
+// TestWitnessGroupCap: the number of groups stops at MaxViolations, a
+// violation at a new pair past the cap is only counted in Stats, groups
+// already open keep exact counts, and a clone carries the groups.
+func TestWitnessGroupCap(t *testing.T) {
+	wl := workloads.ApacheLog(workloads.ApacheConfig{Threads: 4, Requests: 64, Buggy: true, Seed: 1})
+	full := table2Witness(t, wl, 1, Options{Witness: true})
+	if len(full.WitnessGroups()) < 3 {
+		t.Fatalf("workload opened %d groups; the cap check needs at least 3", len(full.WitnessGroups()))
+	}
+	capped := table2Witness(t, wl, 1, Options{Witness: true, MaxViolations: 2})
+	gs := capped.WitnessGroups()
+	if len(gs) != 2 || capped.Stats().Witnesses != 2 {
+		t.Fatalf("capped run: %d groups, %d witnesses, want 2 and 2", len(gs), capped.Stats().Witnesses)
+	}
+	if !reflect.DeepEqual(gs, full.WitnessGroups()[:2]) {
+		t.Errorf("capped groups differ from the first two uncapped ones:\n got %+v\nwant %+v", gs, full.WitnessGroups()[:2])
+	}
+	if capped.Stats().Violations != full.Stats().Violations {
+		t.Errorf("capped run counted %d violations, uncapped %d", capped.Stats().Violations, full.Stats().Violations)
+	}
+	if c := full.Clone(); !reflect.DeepEqual(c.WitnessGroups(), full.WitnessGroups()) {
+		t.Error("clone lost the witness groups")
 	}
 }
 
@@ -104,9 +162,9 @@ func TestWitnessDisabledCollectsNothing(t *testing.T) {
 	if d.Stats().Violations == 0 {
 		t.Fatal("workload produced no violations; the test needs a violating run")
 	}
-	if d.Stats().Witnesses != 0 || d.Witnesses() != nil {
-		t.Errorf("witnesses collected with recorder off: %d counted, %d retained",
-			d.Stats().Witnesses, len(d.Witnesses()))
+	if d.Stats().Witnesses != 0 || d.WitnessGroups() != nil || d.AllWitnesses() != nil {
+		t.Errorf("witnesses collected with recorder off: %d counted, %d groups retained",
+			d.Stats().Witnesses, len(d.WitnessGroups()))
 	}
 	for _, ts := range d.threads {
 		if ts.ring != nil {
@@ -129,7 +187,10 @@ func TestWitnessStaleInputAndFootprint(t *testing.T) {
 	if d.Stats().Violations != 1 || d.Stats().Witnesses != 1 {
 		t.Fatalf("violations=%d witnesses=%d, want 1/1", d.Stats().Violations, d.Stats().Witnesses)
 	}
-	w := d.Witnesses()[0]
+	if gs := d.WitnessGroups(); len(gs) != 1 || gs[0].Count != 1 {
+		t.Fatalf("groups = %+v, want one group of 1", gs)
+	}
+	w := d.WitnessGroups()[0].First
 	if w.Block != X || w.PC != 30 || w.CPU != 0 {
 		t.Errorf("witness report = %+v", w)
 	}
@@ -166,13 +227,13 @@ func TestWitnessConflictSurvivesRingEviction(t *testing.T) {
 	}
 	s.store(0, 30, rA, 200) // violation
 
-	ws := s.d.Witnesses()
-	if len(ws) != 1 {
-		t.Fatalf("witnesses = %d, want 1", len(ws))
+	gs := s.d.WitnessGroups()
+	if len(gs) != 1 {
+		t.Fatalf("groups = %d, want 1", len(gs))
 	}
-	checkWindow(t, "eviction", 0, ws[0])
-	if ws[0].Conflict.PC != 20 {
-		t.Errorf("conflict = %+v", ws[0].Conflict)
+	checkWindow(t, "eviction", 0, gs[0].First)
+	if gs[0].First.Conflict.PC != 20 {
+		t.Errorf("conflict = %+v", gs[0].First.Conflict)
 	}
 }
 
@@ -195,6 +256,9 @@ func TestWitnessTelemetryMatchesStats(t *testing.T) {
 	}
 	if got := sink.Trace().CountName("witness"); uint64(got) != st.Witnesses {
 		t.Errorf("trace witness instants = %d, detector = %d", got, st.Witnesses)
+	}
+	if n := len(d.WitnessGroups()); uint64(n) != st.Witnesses {
+		t.Errorf("detector counted %d witnesses for %d groups", st.Witnesses, n)
 	}
 }
 
