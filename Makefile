@@ -114,7 +114,10 @@ hotpath:
 
 # Short-budget fuzz of the wire decoder: untrusted bytes must map to the
 # protocol's error taxonomy, never a panic. The seed corpus covers
-# truncations, bad magic, version skew, length abuse, and the cluster
-# frames.
+# truncations, bad magic, version skew, length abuse, the cluster
+# frames, and each column-section malformation of the Events payload.
+# Both targets get the budget: FuzzDeframeColumns drives the served
+# decode path, FuzzDeframe the control-frame reader (the Hello decoder).
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDeframeColumns$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
+	$(GO) test -run NONE -fuzz 'FuzzDeframe$$' -fuzztime $(FUZZ_TIME) ./internal/wire/

@@ -69,8 +69,6 @@ func (d *Detector) StepColumns(eb *vm.EventBatch) {
 		ev.Addr = eb.Addr[k]
 		ev.IsLoad = flags&vm.FlagLoad != 0
 		ev.IsStore = flags&vm.FlagStore != 0
-		ev.Loaded = eb.Loaded[k]
-		ev.Stored = eb.Stored[k]
 		ev.Taken = flags&vm.FlagTaken != 0
 		var b int64
 		if blocks != nil {

@@ -26,9 +26,9 @@ func buildSeedSegment(t interface{ Fatal(...any) }) []byte {
 	helloBytes := append([]byte(nil), frames.Bytes()...)
 	frames.Reset()
 	eb := vm.NewEventBatch(3)
-	eb.AppendRaw(1, 0, 3, vm.FlagLoad, 64, 5, 0)
-	eb.AppendRaw(2, 1, 9, vm.FlagStore, 64, 0, 6)
-	eb.AppendRaw(3, 0, 4, 0, 0, 0, 0)
+	eb.AppendRaw(1, 0, 3, vm.FlagLoad, 64)
+	eb.AppendRaw(2, 1, 9, vm.FlagStore, 64)
+	eb.AppendRaw(3, 0, 4, 0, 0)
 	if err := f.WriteColumns(eb); err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ const (
 	// KindHello is a stream's raw Hello frame, journaled first.
 	KindHello Kind = iota + 1
 
-	// KindEvents is one raw Events frame (delta-coded batch, send stamp
+	// KindEvents is one raw Events frame (column-coded batch, send stamp
 	// included when the stream negotiated timestamps).
 	KindEvents
 
@@ -134,6 +134,14 @@ const (
 
 // DefaultSegmentBytes rotates segments at 64 MiB.
 const DefaultSegmentBytes = 64 << 20
+
+// maxSegmentRecords also rotates the active segment, whatever its size:
+// the writer holds one IndexEntry per record of the active segment
+// until it seals, so the cap bounds that index at 1.5 MiB. Without it
+// the index grows with records per segment, and small records — a
+// 512-event Events frame is about 560 bytes — put 120 K records in one
+// 64 MiB segment.
+const maxSegmentRecords = 1 << 15
 
 // DefaultFsyncInterval bounds the unsynced window to 100ms.
 const DefaultFsyncInterval = 100 * time.Millisecond
@@ -273,8 +281,9 @@ type Stats struct {
 
 // Options tune a Writer.
 type Options struct {
-	// SegmentBytes rotates the active segment once it reaches this size.
-	// <= 0 means DefaultSegmentBytes.
+	// SegmentBytes rotates the active segment once it reaches this size
+	// (or maxSegmentRecords records, whichever comes first). <= 0 means
+	// DefaultSegmentBytes.
 	SegmentBytes int64
 
 	// SegmentAge rotates the active segment once it has been open this
@@ -745,7 +754,7 @@ func (w *Writer) Append(m Meta, hdr, payload []byte) (Loc, error) {
 			return loc, err
 		}
 	}
-	if w.off >= w.opts.SegmentBytes ||
+	if w.off >= w.opts.SegmentBytes || len(w.index) >= maxSegmentRecords ||
 		(w.opts.SegmentAge > 0 && now.UnixNano()-w.created >= int64(w.opts.SegmentAge)) {
 		if err := w.rotateLocked(now); err != nil {
 			return loc, err

@@ -230,6 +230,38 @@ func TestAgeRotation(t *testing.T) {
 	}
 }
 
+// TestRecordCapRotation: small records seal a segment at
+// maxSegmentRecords, long before SegmentBytes, so the writer's
+// in-memory index of the active segment stays bounded; every record
+// still reads back.
+func TestRecordCapRotation(t *testing.T) {
+	p := InMemory()
+	w, err := OpenWriter(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = maxSegmentRecords + 10
+	for i := 0; i < records; i++ {
+		if _, err := w.Append(Meta{Kind: KindEvents, Stream: 1, FirstSeq: uint64(i), LastSeq: uint64(i)}, nil, []byte("e")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := w.Stats(); st.Rotations != 1 {
+		t.Fatalf("rotations = %d after %d one-byte records, want 1", st.Rotations, records)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReader(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := len(r.StreamEventLocs(1)); got != records {
+		t.Fatalf("read back %d event records, want %d", got, records)
+	}
+}
+
 func TestStreamBaseAcrossReopen(t *testing.T) {
 	testProviders(t, func(t *testing.T, p Provider) {
 		w, err := OpenWriter(p, Options{})

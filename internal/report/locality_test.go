@@ -250,7 +250,7 @@ func TestLocalityDifferential(t *testing.T) {
 					ne := vm.NewEventBatch(eb.Len())
 					ne.EnableBlocks(shift)
 					for r := 0; r < eb.Len(); r++ {
-						ne.AppendRaw(eb.Seq[r], eb.CPU[r], eb.PC[r], eb.Flags[r], eb.Addr[r], eb.Loaded[r], eb.Stored[r])
+						ne.AppendRaw(eb.Seq[r], eb.CPU[r], eb.PC[r], eb.Flags[r], eb.Addr[r])
 					}
 					out[i] = ne
 				}
@@ -300,8 +300,8 @@ func TestStepColumnsPoisonsOnBadPC(t *testing.T) {
 	good := chopFixed(g.evs, 32)
 
 	bad := vm.NewEventBatch(2)
-	bad.AppendRaw(1, 0, lpLoad, vm.FlagLoad, 64, 1, 0)
-	bad.AppendRaw(2, 0, int64(len(g.prog.Code))+7, vm.FlagLoad, 64, 1, 0)
+	bad.AppendRaw(1, 0, lpLoad, vm.FlagLoad, 64)
+	bad.AppendRaw(2, 0, int64(len(g.prog.Code))+7, vm.FlagLoad, 64)
 
 	sd := svd.New(g.prog, 3, svd.Options{})
 	fd := frd.New(g.prog, 3, frd.Options{})

@@ -65,14 +65,13 @@ type ReplayOptions struct {
 
 	// Timestamps negotiates wire-to-verdict latency tracing: every
 	// Events frame carries a send stamp, and the Result comes back with
-	// the server's latency digest in ReplayStats.Latency. Needs a
-	// wire.Version >= 2 server.
+	// the server's latency digest in ReplayStats.Latency.
 	Timestamps bool
 
 	// Key is the cluster routing key carried in the handshake. A
 	// cluster node that is not the key's owner forwards the stream to
 	// the node that is; empty opts out of routing (the receiving node
-	// serves the stream itself). Needs a wire.Version >= 3 server.
+	// serves the stream itself).
 	Key string
 }
 
@@ -125,6 +124,10 @@ func (c *Client) RunSample(w *workloads.Workload, seed uint64, opts ReplayOption
 	}
 	if opts.EmbedProgram {
 		h.Program = w.Prog
+		h.MemWords = w.MemWords
+		if h.MemWords <= 0 {
+			h.MemWords = vm.DefaultMemWords
+		}
 	}
 	if err := c.f.WriteHello(h); err != nil {
 		return nil, ReplayStats{}, err

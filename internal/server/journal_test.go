@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net"
 	"net/http/httptest"
@@ -183,6 +184,68 @@ func TestReplayAcrossRestart(t *testing.T) {
 	if !sum.Ok() || sum.Matched != 3 {
 		js, _ := json.MarshalIndent(sum, "", "  ")
 		t.Fatalf("post-restart replay not clean:\n%s", js)
+	}
+}
+
+// TestReplayOlderVersionSkew: a journal whose first stream opens with a
+// version-3 Hello — a capture from a build that spoke the row-major
+// payload — replays that stream as an ErrVersionSkew error and goes on
+// to verify the next stream, which this build served. svdreplay -verify
+// reports the same summary.
+func TestReplayOlderVersionSkew(t *testing.T) {
+	p := journal.InMemory()
+	jw, err := journal.OpenWriter(p, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old bytes.Buffer
+	if err := wire.NewFramer(&old, 4).WriteHello(wire.Hello{Version: 3, Threads: 4, Workload: "queue-buggy", Scale: 1, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []struct {
+		kind    journal.Kind
+		payload []byte
+	}{
+		{journal.KindHello, old.Bytes()},
+		{journal.KindGoodbye, append(append([]byte(nil), wire.Magic[:]...), byte(wire.FrameGoodbye), 0, 0, 0, 0)},
+		{journal.KindResult, []byte(`{}`)},
+	} {
+		if _, err := jw.Append(journal.Meta{Kind: rec.kind, Stream: 0}, nil, rec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jw, err = journal.OpenWriter(p, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveJournaled(t, jw, []struct {
+		name string
+		seed uint64
+	}{{"queue-fixed", 3}})
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := journal.OpenReader(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	e := replayEngine()
+	defer shutdown(t, e)
+	sum, err := e.ReplayJournal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, _ := json.MarshalIndent(sum, "", "  ")
+	if sum.Replayed != 2 || sum.Errors != 1 || sum.Matched != 1 {
+		t.Fatalf("want one skewed and one matched stream:\n%s", js)
+	}
+	if skew := sum.Streams[0]; skew.Stream != 0 || !strings.Contains(skew.Err, wire.ErrVersionSkew.Error()) {
+		t.Fatalf("stream 0 should fail with version skew:\n%s", js)
 	}
 }
 

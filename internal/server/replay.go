@@ -134,6 +134,10 @@ func (e *Engine) replayStream(r *journal.Reader, si journal.StreamInfo) (rp repl
 		case err != nil:
 			rp.err = err.Error()
 		case fr.Type == wire.FrameEvents:
+			if err := checkAddrs(eb, st.w); err != nil {
+				rp.err = err.Error()
+				break
+			}
 			rp.events += uint64(eb.Len())
 			if k >= len(locs) {
 				rp.err = "more events frames than journaled event records"
@@ -250,6 +254,9 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 		}
 		switch fr.Type {
 		case wire.FrameEvents:
+			if err := checkAddrs(eb, w); err != nil {
+				return nil, nil, err
+			}
 			evs = eb.AppendEvents(evs, w.Prog.Code)
 		case wire.FrameGoodbye:
 			return w, evs, nil

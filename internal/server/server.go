@@ -276,8 +276,8 @@ func New(opts Options) *Engine {
 		sh := &shard{id: i, jobs: make(chan job, e.opts.QueueDepth)}
 		sh.pool.New = func() any {
 			eb := vm.NewEventBatch(vm.DefaultBatchCap)
-			// The wire decoder fills the Blocks column during varint
-			// decode; at the engine's SVD shift both detectors (FRD too,
+			// The wire decoder fills the Blocks column from its address
+			// column; at the engine's SVD shift both detectors (FRD too,
 			// when its shift agrees) skip the per-row block computation.
 			eb.EnableBlocks(e.opts.SVD.BlockShift)
 			return eb
@@ -388,7 +388,29 @@ func (e *Engine) resolve(h wire.Hello) (*workloads.Workload, error) {
 	if name == "" {
 		name = "remote"
 	}
-	return &workloads.Workload{Name: name, Prog: h.Program, NumThreads: h.Threads}, nil
+	return &workloads.Workload{Name: name, Prog: h.Program, NumThreads: h.Threads, MemWords: h.MemWords}, nil
+}
+
+// checkAddrs fails a decoded batch that addresses memory outside the
+// workload's [0, MemWords) — vm.DefaultMemWords when the workload
+// leaves it 0 — with wire.ErrBadFrame. The VM faults on any such
+// access, so only a forged stream carries one, and every distinct block
+// it names would grow the detectors' block tables. One OR-fold over the
+// address column; the decoder gives rows without a memory access
+// address 0.
+func checkAddrs(eb *vm.EventBatch, w *workloads.Workload) error {
+	words := w.MemWords
+	if words <= 0 {
+		words = vm.DefaultMemWords
+	}
+	var or int64
+	for _, a := range eb.Addr {
+		or |= a | (words - 1 - a)
+	}
+	if or < 0 {
+		return fmt.Errorf("%w: event address outside memory of %d words", wire.ErrBadFrame, words)
+	}
+	return nil
 }
 
 // OpenStream admits a new stream described by its handshake. key feeds

@@ -122,7 +122,9 @@ type frameCheck func(st *Stream, eb *vm.EventBatch, hdr, payload []byte) (took b
 // is the one loop behind every served stream, standalone or cluster.
 // hello is the stream's opening frame, already read from d (so
 // d.RawFrame still holds its bytes); key feeds the shard router; check,
-// when non-nil, runs on every Events frame.
+// when non-nil, runs on every Events frame. An Events frame that
+// addresses memory outside the workload ends the stream before it is
+// checked, journaled or ingested.
 func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, hello wire.Hello, key string, check frameCheck) error {
 	st, err := e.OpenStream(hello, key)
 	if err != nil {
@@ -166,6 +168,10 @@ func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, hello wire.Hello,
 		}
 		switch fr.Type {
 		case wire.FrameEvents:
+			if err := checkAddrs(eb, st.w); err != nil {
+				st.PutBatch(eb)
+				return err
+			}
 			st.NoteWireBytes(d.LastFrameBytes())
 			hdr, payload := d.RawFrame()
 			if check != nil {

@@ -91,8 +91,6 @@ func (d *Detector) StepColumns(eb *vm.EventBatch) {
 			ev.Addr = eb.Addr[k]
 			ev.IsLoad = flags&vm.FlagLoad != 0
 			ev.IsStore = flags&vm.FlagStore != 0
-			ev.Loaded = eb.Loaded[k]
-			ev.Stored = eb.Stored[k]
 			ev.Taken = flags&vm.FlagTaken != 0
 			in := &ev.Instr
 			if flags&(vm.FlagLoad|vm.FlagStore) == 0 || !in.Op.IsMem() {

@@ -22,7 +22,8 @@ var ErrBadBatch = errors.New("vm: malformed event batch")
 // re-deriving per-thread state per row. DESIGN.md §11 describes the
 // ownership and pooling model built on it.
 
-// Event flag bits, shared with the wire codec's per-event flags byte.
+// Event flag bits. The wire codec rebuilds the load/store bits from the
+// opcode at each PC and carries only the bits the opcode leaves open.
 const (
 	FlagLoad  uint8 = 1 << 0
 	FlagStore uint8 = 1 << 1
@@ -33,22 +34,23 @@ const (
 // columns have equal length; row i of the batch is the i-th event in
 // execution order. Instr does not travel with the batch — consumers
 // rebind it from the program via PC, exactly like the wire decoder.
+// Neither do the loaded and stored values: no batch consumer reads
+// them, so they stay on the per-event Event for Observers.
 type EventBatch struct {
-	Seq    []uint64
-	CPU    []int32
-	PC     []int64
-	Flags  []uint8 // FlagLoad | FlagStore | FlagTaken
-	Addr   []int64 // meaningful when FlagLoad or FlagStore
-	Loaded []int64 // meaningful when FlagLoad
-	Stored []int64 // meaningful when FlagStore
+	Seq   []uint64
+	CPU   []int32
+	PC    []int64
+	Flags []uint8 // FlagLoad | FlagStore | FlagTaken
+	Addr  []int64 // meaningful when FlagLoad or FlagStore
 
-	// Blocks, when enabled, carries Addr>>shift per row, filled at append
-	// time — by the wire decoder as it walks the varint frame, or by the
-	// VM's columnar ring — so every consumer sharing the producer's shift
-	// skips the per-row recompute. Rows whose Flags carry neither load nor
-	// store hold an unspecified value (the shifted Addr operand, whatever
-	// it was). Zero-value batches leave it disabled; NewEventBatch enables
-	// it at shift 0, the detectors' default block size.
+	// Blocks, when enabled, carries Addr>>shift per row, filled once by
+	// the producer — the wire decoder from its address column, or the
+	// VM's columnar ring at append time — so every consumer sharing the
+	// producer's shift skips the per-row recompute. Rows whose Flags
+	// carry neither load nor store hold an unspecified value (the shifted
+	// Addr operand, whatever it was). Zero-value batches leave it
+	// disabled; NewEventBatch enables it at shift 0, the detectors'
+	// default block size.
 	Blocks []int64
 
 	blockShift uint
@@ -87,10 +89,27 @@ func (b *EventBatch) grow(n int) {
 	b.PC = append(make([]int64, 0, n), b.PC...)
 	b.Flags = append(make([]uint8, 0, n), b.Flags...)
 	b.Addr = append(make([]int64, 0, n), b.Addr...)
-	b.Loaded = append(make([]int64, 0, n), b.Loaded...)
-	b.Stored = append(make([]int64, 0, n), b.Stored...)
 	if b.blocksOn {
 		b.Blocks = append(make([]int64, 0, n), b.Blocks...)
+	}
+}
+
+// Resize sets every column, Blocks included when enabled, to n rows,
+// growing the backing arrays when needed. Row contents are unspecified:
+// a producer that resizes fills every column itself (the wire decoder
+// sizes a batch once and then fills it column by column).
+func (b *EventBatch) Resize(n int) {
+	b.grow(n)
+	b.Seq = b.Seq[:n]
+	b.CPU = b.CPU[:n]
+	b.PC = b.PC[:n]
+	b.Flags = b.Flags[:n]
+	b.Addr = b.Addr[:n]
+	if b.blocksOn {
+		if cap(b.Blocks) < n {
+			b.Blocks = make([]int64, n)
+		}
+		b.Blocks = b.Blocks[:n]
 	}
 }
 
@@ -104,8 +123,6 @@ func (b *EventBatch) Reset() {
 	b.PC = b.PC[:0]
 	b.Flags = b.Flags[:0]
 	b.Addr = b.Addr[:0]
-	b.Loaded = b.Loaded[:0]
-	b.Stored = b.Stored[:0]
 	b.Blocks = b.Blocks[:0]
 }
 
@@ -121,19 +138,16 @@ func (b *EventBatch) Append(ev *Event) {
 	if ev.Taken {
 		flags |= FlagTaken
 	}
-	b.AppendRaw(ev.Seq, int32(ev.CPU), ev.PC, flags, ev.Addr, ev.Loaded, ev.Stored)
+	b.AppendRaw(ev.Seq, int32(ev.CPU), ev.PC, flags, ev.Addr)
 }
 
-// AppendRaw adds one row from already-columnar fields (the wire
-// decoder's fast path).
-func (b *EventBatch) AppendRaw(seq uint64, cpu int32, pc int64, flags uint8, addr, loaded, stored int64) {
+// AppendRaw adds one row from already-columnar fields.
+func (b *EventBatch) AppendRaw(seq uint64, cpu int32, pc int64, flags uint8, addr int64) {
 	b.Seq = append(b.Seq, seq)
 	b.CPU = append(b.CPU, cpu)
 	b.PC = append(b.PC, pc)
 	b.Flags = append(b.Flags, flags)
 	b.Addr = append(b.Addr, addr)
-	b.Loaded = append(b.Loaded, loaded)
-	b.Stored = append(b.Stored, stored)
 	if b.blocksOn {
 		b.Blocks = append(b.Blocks, addr>>b.blockShift)
 	}
@@ -148,9 +162,10 @@ func (b *EventBatch) AppendEvents(dst []Event, code []isa.Instr) []Event {
 	return dst
 }
 
-// Row materializes row i as an Event with Instr rebound from code. The
-// PC must be within code — batches decoded from the wire or produced by
-// a VM running the same program always are.
+// Row materializes row i as an Event with Instr rebound from code and
+// no loaded or stored value (the batch carries none). The PC must be
+// within code — batches decoded from the wire or produced by a VM
+// running the same program always are.
 func (b *EventBatch) Row(i int, code []isa.Instr) Event {
 	flags := b.Flags[i]
 	return Event{
@@ -161,8 +176,6 @@ func (b *EventBatch) Row(i int, code []isa.Instr) Event {
 		Addr:    b.Addr[i],
 		IsLoad:  flags&FlagLoad != 0,
 		IsStore: flags&FlagStore != 0,
-		Loaded:  b.Loaded[i],
-		Stored:  b.Stored[i],
 		Taken:   flags&FlagTaken != 0,
 	}
 }
@@ -176,8 +189,6 @@ func (b *EventBatch) CopyFrom(src *EventBatch) {
 	b.PC = append(b.PC[:0], src.PC...)
 	b.Flags = append(b.Flags[:0], src.Flags...)
 	b.Addr = append(b.Addr[:0], src.Addr...)
-	b.Loaded = append(b.Loaded[:0], src.Loaded...)
-	b.Stored = append(b.Stored[:0], src.Stored...)
 	b.Blocks = append(b.Blocks[:0], src.Blocks...)
 	b.blockShift, b.blocksOn = src.blockShift, src.blocksOn
 }

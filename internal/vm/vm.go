@@ -106,7 +106,7 @@ func (c Config) withDefaults() Config {
 		c.NumCPUs = 2
 	}
 	if c.MemWords <= 0 {
-		c.MemWords = 1 << 16
+		c.MemWords = DefaultMemWords
 	}
 	if c.StackWords <= 0 {
 		c.StackWords = 1 << 10
@@ -152,6 +152,9 @@ type ObserverFunc func(ev *Event)
 
 // Step calls f(ev).
 func (f ObserverFunc) Step(ev *Event) { f(ev) }
+
+// DefaultMemWords is the shared-memory size when Config.MemWords is zero.
+const DefaultMemWords = 1 << 16
 
 // DefaultBatchCap is the event ring capacity when Config.BatchCap is zero:
 // large enough to amortize the per-batch dispatch, small enough that the

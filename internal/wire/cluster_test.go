@@ -147,9 +147,8 @@ func TestHandoffCapNeedsOptIn(t *testing.T) {
 	}
 }
 
-// TestHelloKeyRoundTrip: a v3 hello carries the routing key; an
-// unkeyed v3 hello is byte-identical in shape to a v2 one (flag clear,
-// no key section).
+// TestHelloKeyRoundTrip: a hello carries the routing key behind its
+// key flag.
 func TestHelloKeyRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	f := NewFramer(&buf, 4)
@@ -164,27 +163,6 @@ func TestHelloKeyRoundTrip(t *testing.T) {
 	}
 	if fr.Hello.Key != want.Key || fr.Hello.Workload != want.Workload || !fr.Hello.Witness {
 		t.Fatalf("got %+v, want %+v", fr.Hello, want)
-	}
-}
-
-// TestHelloKeyNeedsV3: the key flag on a version-2 hello is malformed,
-// mirroring the timestamps-needs-v2 rule.
-func TestHelloKeyNeedsV3(t *testing.T) {
-	p := binary.AppendUvarint(nil, 2) // version 2
-	p = binary.AppendUvarint(p, 2)    // threads
-	p = binary.AppendUvarint(p, 0)    // workload ""
-	p = binary.AppendUvarint(p, 0)    // scale
-	p = binary.AppendUvarint(p, 0)    // seed
-	p = append(p, 8)                  // key flag
-	p = binary.AppendUvarint(p, 1)
-	p = append(p, 'k')
-	frame := append([]byte(nil), Magic[:]...)
-	frame = append(frame, byte(FrameHello))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(p)))
-	frame = append(frame, p...)
-	d := NewDeframer(bytes.NewReader(frame))
-	if _, err := d.ReadFrame(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("keyed v2 hello: got %v, want ErrBadFrame", err)
 	}
 }
 
@@ -306,26 +284,6 @@ func TestHelloHopsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloHopsNeedsV3: the hop flag on a version-2 hello is malformed,
-// like the key flag.
-func TestHelloHopsNeedsV3(t *testing.T) {
-	p := binary.AppendUvarint(nil, 2) // version 2
-	p = binary.AppendUvarint(p, 2)    // threads
-	p = binary.AppendUvarint(p, 0)    // workload ""
-	p = binary.AppendUvarint(p, 0)    // scale
-	p = binary.AppendUvarint(p, 0)    // seed
-	p = append(p, 16)                 // hop flag
-	p = binary.AppendUvarint(p, 1)
-	frame := append([]byte(nil), Magic[:]...)
-	frame = append(frame, byte(FrameHello))
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(p)))
-	frame = append(frame, p...)
-	d := NewDeframer(bytes.NewReader(frame))
-	if _, err := d.ReadFrame(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("hop'd v2 hello: got %v, want ErrBadFrame", err)
-	}
-}
-
 // TestHelloKeyTooLong: both sides refuse a routing key past MaxKeyLen —
 // the writer before framing, the decoder on a hand-crafted frame — so
 // the handoff payload arithmetic (key + capped history < frame cap)
@@ -338,12 +296,12 @@ func TestHelloKeyTooLong(t *testing.T) {
 		t.Fatalf("write side accepted an oversized key: %v", err)
 	}
 
-	p := binary.AppendUvarint(nil, Version) // version 3
-	p = binary.AppendUvarint(p, 2)          // threads
-	p = binary.AppendUvarint(p, 0)          // workload ""
-	p = binary.AppendUvarint(p, 0)          // scale
-	p = binary.AppendUvarint(p, 0)          // seed
-	p = append(p, 8)                        // key flag
+	p := binary.AppendUvarint(nil, Version)
+	p = binary.AppendUvarint(p, 2) // threads
+	p = binary.AppendUvarint(p, 0) // workload ""
+	p = binary.AppendUvarint(p, 0) // scale
+	p = binary.AppendUvarint(p, 0) // seed
+	p = append(p, 8)               // key flag
 	p = binary.AppendUvarint(p, uint64(len(long)))
 	p = append(p, long...)
 	frame := append([]byte(nil), Magic[:]...)

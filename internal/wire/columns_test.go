@@ -15,10 +15,12 @@ import (
 )
 
 // mkJumpyBatch builds one adversarial synthetic batch: PC and address
-// deltas in both directions, negative values, CAS-shaped load+store
-// rows — the same shape TestEventsRandomRoundTrip uses.
+// deltas in both directions, CAS rows that succeed and fail, Seq gaps.
+// Rows carry no values (batches do not), and Taken only where the
+// opcode allows it: at random on conditional branches, always on jumps —
+// as a VM produces it.
 func mkJumpyBatch(rng *rand.Rand, prog *isa.Program, threads, n int, seq *uint64) []vm.Event {
-	// The deframer validates flag/opcode consistency per PC: draw each
+	// The deframer rebuilds flags from the opcode at each PC: draw each
 	// row's PC from the opcode class matching the shape it fakes, as a
 	// real VM stream would.
 	var byClass [4][]int64
@@ -37,11 +39,7 @@ func mkJumpyBatch(rng *rand.Rand, prog *isa.Program, threads, n int, seq *uint64
 	evs := make([]vm.Event, n)
 	for i := range evs {
 		*seq += uint64(rng.Intn(3) + 1)
-		evs[i] = vm.Event{
-			Seq:   *seq,
-			CPU:   rng.Intn(threads),
-			Taken: rng.Intn(2) == 0,
-		}
+		evs[i] = vm.Event{Seq: *seq, CPU: rng.Intn(threads)}
 		shape := rng.Intn(4)
 		for len(byClass[shape]) == 0 { // e.g. a program with no CAS
 			shape = rng.Intn(4)
@@ -52,16 +50,19 @@ func mkJumpyBatch(rng *rand.Rand, prog *isa.Program, threads, n int, seq *uint64
 		case 0:
 			evs[i].IsLoad = true
 			evs[i].Addr = rng.Int63n(1 << 40)
-			evs[i].Loaded = rng.Int63() - rng.Int63()
 		case 1:
 			evs[i].IsStore = true
 			evs[i].Addr = rng.Int63n(1 << 40)
-			evs[i].Stored = rng.Int63() - rng.Int63()
 		case 2:
-			evs[i].IsLoad, evs[i].IsStore = true, true
+			evs[i].IsLoad, evs[i].IsStore = true, rng.Intn(2) == 0
 			evs[i].Addr = rng.Int63n(1 << 40)
-			evs[i].Loaded = rng.Int63()
-			evs[i].Stored = -rng.Int63()
+		default:
+			switch op := prog.Code[evs[i].PC].Op; {
+			case op.IsCondBranch():
+				evs[i].Taken = rng.Intn(2) == 0
+			case op.IsUncondJump() || op == isa.OpJr:
+				evs[i].Taken = true
+			}
 		}
 	}
 	return evs
@@ -99,12 +100,12 @@ func goldenStream(t *testing.T, h Hello, body func(f *Framer)) []byte {
 // of two whole streams, each with and without send stamps. One is a
 // registry execution (queue-fixed seed 3, 4096 steps, at the VM's own
 // batch boundaries); the other is the adversarial mkJumpyBatch stream
-// (rng 7, 8 threads). The hashes were recorded from the row encoder
-// that preceded WriteColumns, so they hold the format every existing
-// journal was written in. A change made the same way in encoder and
-// decoder passes every round-trip test but fails here — and it would
-// misdecode old journals. A deliberate format change bumps Version and
-// re-records these.
+// (rng 7, 8 threads). The hashes were recorded from the version-4
+// column-major encoder, the format every journal of this Version is
+// written in. A change made the same way in encoder and decoder passes
+// every round-trip test but fails here — and it would misdecode those
+// journals. A deliberate format change bumps Version and re-records
+// these.
 func TestWireGolden(t *testing.T) {
 	registry := func(t *testing.T, ts bool) []byte {
 		w, err := workloads.ByName("queue-fixed", 1, 3)
@@ -151,10 +152,10 @@ func TestWireGolden(t *testing.T) {
 		ts     bool
 		want   string
 	}{
-		{"queue-fixed", registry, false, "3771afd98cc0bc15e66ff76b4b63b68c0f40046913608c0f26ed2bd08250285a"},
-		{"queue-fixed/timestamps", registry, true, "ba06d5729e2a38c89ca8cd1db780a5c5efd610a71444fdc28fc91a575fa6278b"},
-		{"jumpy", jumpy, false, "70e5bde172bf1437afdb59604622f507cfec7568ba79eee4da015c0f6583fe4f"},
-		{"jumpy/timestamps", jumpy, true, "369d413166bdf777bcc8a5516ce07ba4c0ad20e42e9c5c687ffd33d1463fda2a"},
+		{"queue-fixed", registry, false, "2acf0e48b74a610e11d14e388772e7c891b6cd509e45136b419961873ce6a4c7"},
+		{"queue-fixed/timestamps", registry, true, "2aa0c6c040c7bb5b87295ea4023a46e6f660941312ebdc26bdd03e251d347d4b"},
+		{"jumpy", jumpy, false, "4fe867be76dc902152815e29224fa65c82057cdad631567c9e85908eedba8ce3"},
+		{"jumpy/timestamps", jumpy, true, "3d21094166e03bfe004def6a665c07d7b2a5220d9489e97d67931a38880ff82b"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

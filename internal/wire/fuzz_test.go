@@ -7,6 +7,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -15,9 +16,9 @@ import (
 // error taxonomy explicitly: truncated frames, corrupted magic, version
 // skew, max-length abuse (huge declared payloads and counts over tiny
 // actual payloads), an embedded-program Hello, Result/Error frames, the
-// cluster frames, and the pre-v3 key flag. Both fuzz targets seed from
-// it, so FuzzDeframeColumns, the target `make fuzz-smoke` runs, mutates
-// from all of it.
+// cluster frames, an older version's keyed Hello, and one Events frame
+// per column-section malformation (malformedFrames). Both fuzz targets
+// seed from it.
 func deframeCorpus(tb testing.TB, w *workloads.Workload) [][]byte {
 	var seeds [][]byte
 	// A well-formed stream: hello (registry form), event batches,
@@ -48,7 +49,7 @@ func deframeCorpus(tb testing.TB, w *workloads.Workload) [][]byte {
 	// Hello with an embedded program image.
 	var withProg bytes.Buffer
 	fp := NewFramer(&withProg, w.NumThreads)
-	if err := fp.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Program: w.Prog}); err != nil {
+	if err := fp.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Program: w.Prog, MemWords: w.MemWords}); err != nil {
 		tb.Fatal(err)
 	}
 	seeds = append(seeds, withProg.Bytes())
@@ -102,22 +103,110 @@ func deframeCorpus(tb testing.TB, w *workloads.Workload) [][]byte {
 	_ = frl.WriteAssign(Assignment{Epoch: 4, RingVersion: 4, Origin: "n2", Token: "peers-0011223344556677",
 		Nodes: []NodeInfo{{ID: "n2", Addr: "127.0.0.1:7072"}}})
 	seeds = append(seeds, relay.Bytes())
-	// Key flag on a pre-v3 hello: must decode as ErrBadFrame, never as a
-	// keyed stream.
-	oldKey := append([]byte(nil), Magic[:]...)
-	oldKey = append(oldKey, byte(FrameHello))
-	kp := binary.AppendUvarint(nil, 2) // version 2
-	kp = binary.AppendUvarint(kp, 2)   // threads
-	kp = binary.AppendUvarint(kp, 0)   // workload ""
-	kp = binary.AppendUvarint(kp, 0)   // scale
-	kp = binary.AppendUvarint(kp, 0)   // seed
-	kp = append(kp, 8)                 // key flag without the version for it
-	kp = binary.AppendUvarint(kp, 1)
-	kp = append(kp, 'k')
-	oldKey = binary.LittleEndian.AppendUint32(oldKey, uint32(len(kp)))
-	oldKey = append(oldKey, kp...)
-	seeds = append(seeds, oldKey)
+	// A keyed hello of the previous protocol version: ErrVersionSkew,
+	// never a keyed stream.
+	var oldKey bytes.Buffer
+	_ = NewFramer(&oldKey, 2).WriteHello(Hello{Version: Version - 1, Threads: 2, Workload: "queue-buggy", Key: "k"})
+	seeds = append(seeds, oldKey.Bytes())
+	for _, m := range malformedFrames(tb, w) {
+		seeds = append(seeds, m.frame)
+	}
 	return seeds
+}
+
+// section is one column section of a hand-built Events payload, as
+// uvarints.
+type section []uint64
+
+// eventsFrame frames hand-built column sections (event.go's layout) as
+// one Events frame; raw bytes follow the sections verbatim.
+func eventsFrame(sections []section, raw ...byte) []byte {
+	var p []byte
+	for _, s := range sections {
+		for _, v := range s {
+			p = binary.AppendUvarint(p, v)
+		}
+	}
+	p = append(p, raw...)
+	frame := append([]byte(nil), Magic[:]...)
+	frame = append(frame, byte(FrameEvents))
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(p)))
+	return append(frame, p...)
+}
+
+// malformedFrames builds one frame per malformation the column-major
+// payload can carry, each of which the decoder must reject with
+// ErrBadFrame — all but the last are Events frames over w's program,
+// decodable once SetProgram ran. The base row is one load by thread 0
+// at w's first load PC, address 8: count 1, one run, no Seq
+// exception, one PC exception, an open-bit plane of one clear bit, and
+// one address delta.
+func malformedFrames(tb testing.TB, w *workloads.Workload) []struct {
+	name  string
+	frame []byte
+} {
+	pc := zigzag(firstLoadPC(tb, w))
+	addr := zigzag(8)
+	one := section{1}
+	run := section{1, 0, 1}
+	noExc := section{0}
+	pcExc := section{1, 1, pc}
+	var withoutMem bytes.Buffer
+	if err := NewFramer(&withoutMem, 2).WriteHello(Hello{Version: Version, Threads: 2, Program: w.Prog}); err != nil {
+		tb.Fatal(err)
+	}
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"runs cover more rows than count", eventsFrame([]section{one, {1, 0, 2}, noExc, pcExc, {1}}, 0, byte(addr))},
+		{"runs cover fewer rows than count", eventsFrame([]section{{2}, run, noExc, pcExc, {1}}, 0, byte(addr), byte(addr))},
+		{"empty run", eventsFrame([]section{one, {2, 0, 0, 0, 1}, noExc, pcExc, {1}}, 0, byte(addr))},
+		{"exception index repeats", eventsFrame([]section{{2}, {1, 0, 2}, {2, 1, 5, 0, 5}, pcExc, {1}}, 0, byte(addr))},
+		{"exception index past count", eventsFrame([]section{one, run, {1, 2, 5}, pcExc, {1}}, 0, byte(addr))},
+		{"count above the cap", eventsFrame([]section{{MaxFrameEvents + 1}, {1, 0, MaxFrameEvents + 1}, noExc, noExc})},
+		{"short open-bit plane", eventsFrame([]section{one, run, noExc, pcExc, {0}, {addr}})},
+		{"taken bit on a load", eventsFrame([]section{one, run, noExc, pcExc, {1}}, 1, byte(addr))},
+		{"trailing bytes", eventsFrame([]section{one, run, noExc, pcExc, {1}}, 0, byte(addr), 0)},
+		{"embedded program without memory size", withoutMem.Bytes()},
+	}
+}
+
+// firstLoadPC is the PC of w's first load instruction.
+func firstLoadPC(tb testing.TB, w *workloads.Workload) int64 {
+	for pc, in := range w.Prog.Code {
+		if in.Op == isa.OpLoad {
+			return int64(pc)
+		}
+	}
+	tb.Fatalf("%s has no load", w.Name)
+	return -1
+}
+
+// TestMalformedFramesRejected: every malformedFrames entry is
+// ErrBadFrame — so each fuzz seed built from them starts on the path it
+// names, not on an accidental valid frame.
+func TestMalformedFramesRejected(t *testing.T) {
+	w, err := workloads.ByName("queue-fixed", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range malformedFrames(t, w) {
+		d := NewDeframer(bytes.NewReader(m.frame))
+		d.SetProgram(w.Prog, 2)
+		if _, err := d.ReadFrame(); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: got %v, want ErrBadFrame", m.name, err)
+		}
+	}
+	// The base row itself decodes.
+	pcLoad := firstLoadPC(t, w)
+	good := eventsFrame([]section{{1}, {1, 0, 1}, {0}, {1, 1, zigzag(pcLoad)}, {1}}, 0, byte(zigzag(8)))
+	d := NewDeframer(bytes.NewReader(good))
+	d.SetProgram(w.Prog, 2)
+	eb := vm.NewEventBatch(0)
+	if _, err := d.ReadFrameInto(eb); err != nil || eb.Len() != 1 || eb.Addr[0] != 8 || eb.Flags[0] != vm.FlagLoad || eb.PC[0] != pcLoad {
+		t.Fatalf("base row: %v, %+v", err, eb)
+	}
 }
 
 // FuzzDeframe throws arbitrary bytes at ReadFrame, the reader clients
@@ -168,10 +257,12 @@ func FuzzDeframe(f *testing.F) {
 // FuzzDeframeColumns drives the columnar decode path (ReadFrameInto,
 // the served ingest path) with arbitrary bytes. Beyond FuzzDeframe's
 // properties — termination, taxonomy-only errors, CPU/PC bounds — it
-// checks the batch's structural invariant: all columns the same length,
-// whatever the input did. Its own seeds add columnar-specific
-// malformations: frames truncated inside an event's column data, and a
-// count claiming more events than decode; the shared corpus follows.
+// checks the batch's invariants whatever the input did: every column,
+// Blocks included, has the frame's row count, and every row's flags are
+// its opcode class's bits plus only the bits that class leaves open.
+// Its own seeds add columnar-specific malformations: frames truncated
+// inside a column section, and a count claiming more events than the
+// sections carry; the shared corpus follows.
 func FuzzDeframeColumns(f *testing.F) {
 	w, err := workloads.ByName("queue-fixed", 1, 0)
 	if err != nil {
@@ -217,6 +308,7 @@ func FuzzDeframeColumns(f *testing.F) {
 	}
 
 	prog := w.Prog
+	mc := buildFlagClass(prog)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDeframer(bytes.NewReader(data))
 		d.SetProgram(prog, w.NumThreads)
@@ -235,9 +327,9 @@ func FuzzDeframeColumns(f *testing.F) {
 			}
 			n := eb.Len()
 			if len(eb.CPU) != n || len(eb.PC) != n || len(eb.Flags) != n ||
-				len(eb.Addr) != n || len(eb.Loaded) != n || len(eb.Stored) != n {
-				t.Fatalf("ragged columns: seq %d cpu %d pc %d flags %d addr %d loaded %d stored %d",
-					n, len(eb.CPU), len(eb.PC), len(eb.Flags), len(eb.Addr), len(eb.Loaded), len(eb.Stored))
+				len(eb.Addr) != n || len(eb.Blocks) != n {
+				t.Fatalf("ragged columns: seq %d cpu %d pc %d flags %d addr %d blocks %d",
+					n, len(eb.CPU), len(eb.PC), len(eb.Flags), len(eb.Addr), len(eb.Blocks))
 			}
 			if frame.Type != FrameEvents && n != 0 {
 				t.Fatalf("control frame %v left %d rows in the batch", frame.Type, n)
@@ -249,6 +341,13 @@ func FuzzDeframeColumns(f *testing.F) {
 				if eb.PC[i] < 0 || eb.PC[i] >= int64(len(prog.Code)) {
 					t.Fatalf("decoded row with pc %d", eb.PC[i])
 				}
+				c := mc[eb.PC[i]]
+				if fl := eb.Flags[i]; fl != classFlags[c][0] && (c == classStore || fl != classFlags[c][1]) || fl == flagBad {
+					t.Fatalf("row %d: flags %#x at %v", i, fl, prog.Code[eb.PC[i]].Op)
+				}
+				if eb.Blocks[i] != eb.Addr[i] {
+					t.Fatalf("row %d: block %d for address %d at shift 0", i, eb.Blocks[i], eb.Addr[i])
+				}
 			}
 		}
 		t.Fatalf("deframer did not terminate on %d bytes", len(data))
@@ -256,9 +355,10 @@ func FuzzDeframeColumns(f *testing.F) {
 }
 
 // TestDeframeBoundedAllocation feeds a frame whose header declares the
-// maximum payload over a stream that never delivers it, and a payload
-// whose event count dwarfs its bytes: in both cases the decoder must
-// fail without materializing the declared size.
+// maximum payload over a stream that never delivers it, a payload whose
+// event count dwarfs its bytes, and a frame of MaxFrameEvents+1 rows:
+// in every case the decoder must fail without materializing the
+// declared size. The writer refuses the oversized batch too.
 func TestDeframeBoundedAllocation(t *testing.T) {
 	w, err := workloads.ByName("queue-fixed", 1, 0)
 	if err != nil {
@@ -282,5 +382,26 @@ func TestDeframeBoundedAllocation(t *testing.T) {
 	d.SetProgram(w.Prog, 2)
 	if _, err := d.ReadFrame(); !errors.Is(err, ErrBadFrame) {
 		t.Fatalf("absurd event count: got %v, want ErrBadFrame", err)
+	}
+
+	// One row past the cap, every section present: MaxFrameEvents+1 ALU
+	// rows of thread 0, each at the last PC + 1.
+	rows := MaxFrameEvents + 1
+	over := eventsFrame([]section{{uint64(rows)}, {1, 0, uint64(rows)}, {0}, {0}, {uint64(rows+7) / 8}}, make([]byte, (rows+7)/8)...)
+	d = NewDeframer(bytes.NewReader(over))
+	d.SetProgram(w.Prog, 2)
+	eb := vm.NewEventBatch(0)
+	if _, err := d.ReadFrameInto(eb); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("%d-row frame: got %v, want ErrBadFrame", rows, err)
+	}
+	if cap(eb.Seq) != 0 || cap(eb.Blocks) != 0 {
+		t.Fatalf("%d-row frame sized the batch to %d rows before failing", rows, cap(eb.Seq))
+	}
+	big := vm.NewEventBatch(rows)
+	for i := 0; i < rows; i++ {
+		big.AppendRaw(uint64(i+1), 0, 0, 0, 0)
+	}
+	if err := NewFramer(io.Discard, 2).WriteColumns(big); err == nil {
+		t.Fatalf("writer accepted a %d-row batch", rows)
 	}
 }

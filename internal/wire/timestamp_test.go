@@ -3,9 +3,11 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/vm"
 	"repro/internal/workloads"
 )
@@ -82,33 +84,32 @@ func TestTimestampsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1HelloAccepted: a version-1 peer (no timestamps) must still be
-// admitted by a version-2 build — MinVersion is a promise, not a comment.
-func TestV1HelloAccepted(t *testing.T) {
-	d := roundTrip(t, 2, func(f *Framer) {
-		if err := f.WriteHello(Hello{Version: 1, Threads: 2, Workload: "queue-buggy"}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	fr, err := d.ReadFrame()
-	if err != nil {
-		t.Fatalf("v1 hello rejected: %v", err)
+// TestVersionSkew: this build speaks one protocol version. A Hello of
+// any other — an older one whatever flags it sets, or a newer one — is
+// ErrVersionSkew, checked before the rest of the payload is read.
+func TestVersionSkew(t *testing.T) {
+	cases := []struct {
+		name  string
+		hello Hello
+	}{
+		{"v1", Hello{Version: 1, Threads: 2, Workload: "queue-buggy"}},
+		{"v1/timestamps", Hello{Version: 1, Threads: 2, Workload: "q", Timestamps: true}},
+		{"v2/key", Hello{Version: 2, Threads: 2, Workload: "q", Key: "k"}},
+		{"v3/hops", Hello{Version: 3, Threads: 2, Workload: "queue-buggy", Key: "q/1", Hops: 2}},
+		{"v3/program", Hello{Version: 3, Threads: 2, Program: &isa.Program{Code: []isa.Instr{isa.Halt()}}, MemWords: 64}},
+		{fmt.Sprintf("v%d", Version+1), Hello{Version: Version + 1, Threads: 2, Workload: "q"}},
 	}
-	if fr.Hello.Version != 1 || fr.Hello.Timestamps {
-		t.Fatalf("v1 hello decoded as %+v", fr.Hello)
-	}
-}
-
-// TestV1TimestampsRejected: the timestamps flag needs version 2; a
-// version-1 hello carrying it is malformed, not silently downgraded.
-func TestV1TimestampsRejected(t *testing.T) {
-	d := roundTrip(t, 2, func(f *Framer) {
-		if err := f.WriteHello(Hello{Version: 1, Threads: 2, Workload: "q", Timestamps: true}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if _, err := d.ReadFrame(); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("got %v, want ErrBadFrame", err)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			d := roundTrip(t, 2, func(f *Framer) {
+				if err := f.WriteHello(c.hello); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if _, err := d.ReadFrame(); !errors.Is(err, ErrVersionSkew) {
+				t.Fatalf("got %v, want ErrVersionSkew", err)
+			}
+		})
 	}
 }
 
@@ -126,8 +127,7 @@ func TestFutureVersionStillSkewed(t *testing.T) {
 }
 
 // TestResultLatencyRoundTrip: the optional latency blob survives the
-// trip, and its absence decodes as nil — the byte layout a version-1
-// reader would see is unchanged when no blob is written.
+// trip, and its absence decodes as nil.
 func TestResultLatencyRoundTrip(t *testing.T) {
 	lat := []byte(`{"batches":3}`)
 	d := roundTrip(t, 1, func(f *Framer) {

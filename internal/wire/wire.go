@@ -20,11 +20,12 @@
 // The first frame must be a Hello carrying the protocol version, the
 // thread count, workload metadata (name, scale, seed — enough for a
 // server holding the workload registry to rebuild the program and its
-// ground truth), and optionally an embedded isa program image for
-// streams the server has no registry entry for. Event frames then carry
-// batches of dynamic instructions, delta-encoded (see event.go); a
-// Goodbye frame ends the stream and asks for a Result frame carrying the
-// detection report as JSON. Both directions share the same framing.
+// ground truth), and optionally an embedded isa program image (with its
+// memory size) for streams the server has no registry entry for. Event
+// frames then carry batches of dynamic instructions, column by column
+// (see event.go); a Goodbye frame ends the stream and asks for a Result
+// frame carrying the detection report as JSON. Both directions share
+// the same framing.
 //
 // The error taxonomy is explicit so callers can distinguish a client
 // speaking a future protocol (ErrVersionSkew) from line noise
@@ -46,24 +47,12 @@ import (
 	"repro/internal/vm"
 )
 
-// Version is the protocol version this package speaks. A Deframer
-// accepts Hello frames from MinVersion through Version and rejects
-// anything else via ErrVersionSkew.
-//
-// Version 2 adds the ingest-latency handshake: a Hello may set the
-// Timestamps flag, after which every Events frame opens with the
-// sender's wall-clock send time. Version-1 peers never set the flag and
-// never see the field, so they interoperate unchanged.
-//
-// Version 3 adds cluster mode: a Hello may carry a routing Key (the
-// consistent-hash stream key, flag 8), and two node-to-node frame kinds
-// exist — Assign (membership view exchange) and Handoff (drained stream
-// transfer). Version-1/2 peers never set the key flag and never send
-// the new frames, so both prior byte layouts are untouched.
-const Version = 3
-
-// MinVersion is the oldest protocol version this build still accepts.
-const MinVersion = 1
+// Version is the one protocol version this package speaks: a Deframer
+// rejects a Hello of any other version with ErrVersionSkew, and a
+// journal written by another version replays as skew too. Version 4 is
+// the column-major Events payload (event.go); the earlier row-major
+// payloads are not decoded.
+const Version = 4
 
 // Magic opens every frame.
 var Magic = [4]byte{'S', 'V', 'D', 'W'}
@@ -93,7 +82,7 @@ const (
 	// FrameAssign carries a cluster membership view (assignment epoch,
 	// ring version, node list), node to node. A node receiving an Assign
 	// replies with its own current view, so the frame doubles as the
-	// liveness probe and the anti-entropy push. Requires version 3.
+	// liveness probe and the anti-entropy push.
 	FrameAssign
 
 	// FrameHandoff transfers one drained stream to its new owner: the
@@ -101,7 +90,6 @@ const (
 	// exactly as they arrived), which the receiver replays through fresh
 	// detectors — determinism makes the rebuilt state exact. After the
 	// handoff the same connection carries the stream's remaining frames.
-	// Requires version 3.
 	FrameHandoff
 )
 
@@ -134,9 +122,9 @@ func (t FrameType) String() string {
 // every relay and handoff would have to carry.
 const MaxKeyLen = 1 << 10
 
-// MaxFramePayload bounds a single frame's payload. Event batches are a
-// few KB (the VM's 512-event ring delta-encodes to well under one byte
-// per field); the only legitimately large ingest-direction frame is a
+// MaxFramePayload bounds a single frame's payload. Event batches are
+// well under a KB (the VM's 512-event ring encodes to about a byte per
+// event); the only legitimately large ingest-direction frame is a
 // Hello embedding a program image. 4 MiB leaves headroom for both while
 // keeping the damage of a hostile length prefix bounded.
 const MaxFramePayload = 4 << 20
@@ -190,7 +178,7 @@ var (
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum payload")
 
 	// ErrBadFrame: the payload is malformed (bad counts, out-of-range
-	// PCs, trailing garbage).
+	// PCs or addresses, flags the opcode forbids, trailing garbage).
 	ErrBadFrame = errors.New("wire: malformed frame payload")
 )
 
@@ -217,15 +205,12 @@ type Hello struct {
 	// Timestamps declares that every Events frame of this stream opens
 	// with the sender's send time (wall-clock nanoseconds), letting the
 	// receiver measure wire-to-verdict latency and echo a latency digest
-	// in the Result. Requires Version >= 2; version-1 peers never set it
-	// and are unaffected.
+	// in the Result.
 	Timestamps bool
 
 	// Key is the stream's cluster routing key: the consistent-hash ring
 	// maps it to an owning node, and every frame of the stream follows
 	// it there. Empty outside cluster mode, at most MaxKeyLen bytes.
-	// Requires Version >= 3; version-1/2 peers never set it and their
-	// hellos are byte-identical to before.
 	Key string
 
 	// Hops counts cluster relays this Hello has already crossed. A node
@@ -233,14 +218,24 @@ type Hello struct {
 	// past a small limit the receiver serves the stream locally instead
 	// of relaying again, so two nodes with diverged views cannot
 	// ping-pong a stream between them forever. Zero on every
-	// client-originated Hello. Requires Version >= 3.
+	// client-originated Hello.
 	Hops int
 
 	// Program optionally embeds the program image for streams the
 	// server cannot rebuild from its registry. Nil when Workload names
 	// a registry entry.
 	Program *isa.Program
+
+	// MemWords is an embedded program's shared-memory size in words,
+	// in [1, MaxMemWords]: the receiver rejects any event address
+	// outside [0, MemWords). It travels only with Program; a registry
+	// workload carries its own size.
+	MemWords int64
 }
+
+// MaxMemWords bounds an embedded program's declared memory size: 16 M
+// words, 64× the largest registry workload.
+const MaxMemWords = 1 << 24
 
 // Result is the stream's detection report frame: the report JSON plus a
 // terminal error string (empty on success). Err is transport-level
@@ -248,8 +243,7 @@ type Hello struct {
 //
 // Latency is an optional JSON digest of the stream's ingest latency
 // (the server.LatencyReport shape), present only when the stream's
-// Hello negotiated Timestamps — so a version-1 peer never sees the
-// trailing field and decodes the frame exactly as before.
+// Hello negotiated Timestamps.
 type Result struct {
 	Sample  []byte // report.Sample JSON
 	Err     string
@@ -313,14 +307,14 @@ type Framer struct {
 // NewFramer builds a Framer over w. threads sizes the event encoder's
 // per-thread delta state (use the Hello's Threads).
 func NewFramer(w io.Writer, threads int) *Framer {
-	return &Framer{w: w, enc: newEventEncoder(threads), now: unixNanoNow}
+	return &Framer{w: w, enc: eventEncoder{st: newCodecState(threads)}, now: unixNanoNow}
 }
 
 func unixNanoNow() int64 { return time.Now().UnixNano() }
 
 // Reset rebinds the framer to a new stream, clearing delta state.
 func (f *Framer) Reset(threads int) {
-	f.enc = newEventEncoder(threads)
+	f.enc.st = newCodecState(threads)
 }
 
 // writeFrame emits one frame with the given payload.
@@ -383,6 +377,7 @@ func (f *Framer) WriteHello(h Hello) error {
 		if err := isa.WriteProgram(&img, h.Program); err != nil {
 			return fmt.Errorf("wire: encode program: %w", err)
 		}
+		putUvarint(b, uint64(h.MemWords))
 		putUvarint(b, uint64(img.Len()))
 		b.Write(img.Bytes())
 	}
@@ -396,9 +391,7 @@ func (f *Framer) WriteHello(h Hello) error {
 func (f *Framer) WriteGoodbye() error { return f.writeFrame(FrameGoodbye, nil) }
 
 // WriteResult emits a result frame. The latency digest rides as a
-// trailing optional section: emitted only when present, which keeps the
-// payload byte-identical to the version-1 form for streams that never
-// negotiated timestamps.
+// trailing optional section, emitted only when present.
 func (f *Framer) WriteResult(r Result) error {
 	f.buf = f.buf[:0]
 	b := bytes.NewBuffer(f.buf)
@@ -558,8 +551,8 @@ func NewDeframer(r io.Reader) *Deframer {
 // the Hello (registry lookup or embedded image).
 func (d *Deframer) SetProgram(p *isa.Program, threads int) {
 	d.prog = p
-	d.dec = newEventDecoder(threads)
-	d.dec.memClass = buildMemClass(p)
+	d.dec.st = newCodecState(threads)
+	d.dec.flagClass = buildFlagClass(p)
 }
 
 // Prepend makes d read b before the rest of its input, bytes already
@@ -610,7 +603,7 @@ func (d *Deframer) readPayload() (FrameType, error) {
 }
 
 // eventsPayload strips the optional send stamp off an Events payload,
-// returning the delta-coded remainder. The stamp is present exactly
+// returning the column sections. The stamp is present exactly
 // when the stream's Hello negotiated Timestamps.
 func (d *Deframer) eventsPayload() (rest []byte, sendNanos uint64, err error) {
 	if !d.timestamps {
@@ -730,7 +723,16 @@ func (d *Deframer) decodeControl(t FrameType) (Frame, error) {
 func decodeHello(payload []byte) (Hello, error) {
 	p := payloadReader{b: payload}
 	var h Hello
-	h.Version = int(p.uvarint())
+	// The version leads the payload and is checked before anything
+	// else: another version's Hello may lay out the rest differently.
+	v := p.uvarint()
+	if p.err != nil {
+		return Hello{}, p.err
+	}
+	if v != Version {
+		return Hello{}, fmt.Errorf("%w: peer speaks version %d, this build speaks %d", ErrVersionSkew, v, Version)
+	}
+	h.Version = Version
 	h.Threads = int(p.uvarint())
 	h.Workload = p.str()
 	h.Scale = int(p.uvarint())
@@ -739,8 +741,8 @@ func decodeHello(payload []byte) (Hello, error) {
 	if p.err != nil {
 		return Hello{}, p.err
 	}
-	if h.Version < MinVersion || h.Version > Version {
-		return Hello{}, fmt.Errorf("%w: peer speaks version %d, this build speaks %d..%d", ErrVersionSkew, h.Version, MinVersion, Version)
+	if flags&^31 != 0 {
+		return Hello{}, fmt.Errorf("%w: unknown hello flags %#x", ErrBadFrame, flags&^31)
 	}
 	// A hostile thread count would size decoder state and detectors;
 	// cap it at the 64-thread ceiling the detectors' bitsets assume.
@@ -749,13 +751,7 @@ func decodeHello(payload []byte) (Hello, error) {
 	}
 	h.Witness = flags&1 != 0
 	h.Timestamps = flags&4 != 0
-	if h.Timestamps && h.Version < 2 {
-		return Hello{}, fmt.Errorf("%w: timestamps flag set on a version-%d hello (needs version 2)", ErrBadFrame, h.Version)
-	}
 	if flags&8 != 0 {
-		if h.Version < 3 {
-			return Hello{}, fmt.Errorf("%w: routing key flag set on a version-%d hello (needs version 3)", ErrBadFrame, h.Version)
-		}
 		h.Key = p.str()
 		if p.err != nil {
 			return Hello{}, p.err
@@ -765,9 +761,6 @@ func decodeHello(payload []byte) (Hello, error) {
 		}
 	}
 	if flags&16 != 0 {
-		if h.Version < 3 {
-			return Hello{}, fmt.Errorf("%w: hop flag set on a version-%d hello (needs version 3)", ErrBadFrame, h.Version)
-		}
 		hops := p.uvarint()
 		if p.err != nil {
 			return Hello{}, p.err
@@ -781,11 +774,16 @@ func decodeHello(payload []byte) (Hello, error) {
 		h.Hops = int(hops)
 	}
 	if flags&2 != 0 {
+		mem := p.uvarint()
 		imgLen := p.uvarint()
 		img := p.bytes(int(imgLen))
 		if p.err != nil {
 			return Hello{}, p.err
 		}
+		if mem == 0 || mem > MaxMemWords {
+			return Hello{}, fmt.Errorf("%w: embedded program memory of %d words outside [1,%d]", ErrBadFrame, mem, MaxMemWords)
+		}
+		h.MemWords = int64(mem)
 		prog, err := isa.ReadProgram(bytes.NewReader(img))
 		if err != nil {
 			return Hello{}, fmt.Errorf("%w: embedded program: %v", ErrBadFrame, err)
@@ -799,8 +797,8 @@ func decodeHello(payload []byte) (Hello, error) {
 }
 
 // decodeResult parses a Result payload. The latency digest is an
-// optional trailing section (present only on timestamp-negotiated
-// streams), so version-1 payloads decode exactly as before.
+// optional trailing section, present only on timestamp-negotiated
+// streams.
 func decodeResult(payload []byte) (Result, error) {
 	p := payloadReader{b: payload}
 	var r Result
@@ -907,24 +905,20 @@ func (p *payloadReader) byte() byte {
 	return v
 }
 
+// uvarint reads one uvarint, a one-byte value without a call.
 func (p *payloadReader) uvarint() uint64 {
+	if p.err == nil && p.off < len(p.b) && p.b[p.off] < 0x80 {
+		p.off++
+		return uint64(p.b[p.off-1])
+	}
+	return p.uvarintSlow()
+}
+
+func (p *payloadReader) uvarintSlow() uint64 {
 	if p.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(p.b[p.off:])
-	if n <= 0 {
-		p.fail()
-		return 0
-	}
-	p.off += n
-	return v
-}
-
-func (p *payloadReader) varint() int64 {
-	if p.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(p.b[p.off:])
 	if n <= 0 {
 		p.fail()
 		return 0
@@ -960,11 +954,6 @@ func (p *payloadReader) rest() int { return len(p.b) - p.off }
 func putUvarint(b *bytes.Buffer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	b.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-}
-
-func putVarint(b *bytes.Buffer, v int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	b.Write(tmp[:binary.PutVarint(tmp[:], v)])
 }
 
 func putString(b *bytes.Buffer, s string) {

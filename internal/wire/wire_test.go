@@ -31,7 +31,7 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	cases := []Hello{
 		{Version: Version, Threads: 4, Workload: "queue-buggy", Scale: 2, Seed: 7, Witness: true},
-		{Version: Version, Threads: w.NumThreads, Program: w.Prog},
+		{Version: Version, Threads: w.NumThreads, Program: w.Prog, MemWords: w.MemWords},
 	}
 	for _, h := range cases {
 		d := roundTrip(t, h.Threads, func(f *Framer) {
@@ -57,6 +57,9 @@ func TestHelloRoundTrip(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.Program.Code, h.Program.Code) {
 				t.Errorf("embedded program code differs after round trip")
+			}
+			if got.MemWords != h.MemWords {
+				t.Errorf("embedded program memory: got %d words, want %d", got.MemWords, h.MemWords)
 			}
 		}
 	}
@@ -260,9 +263,13 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 		// One hostile row per flag class: a store-flagged load PC, a
 		// load-flagged store PC, a flagless CAS PC (which would silently
-		// skip the sync annotation in a flags-filtering consumer), and a
-		// load-flagged ALU PC. Each must die at the trust boundary.
-		var pcLoad, pcStore, pcCas, pcALU int64 = -1, -1, -1, -1
+		// skip the sync annotation in a flags-filtering consumer), a
+		// load-flagged ALU PC, a taken load, a taken ALU instruction and
+		// an untaken jump. The decoder rebuilds flags from the opcode,
+		// so each such row misaligns the open-bit plane or the address
+		// section, or sets an open bit the opcode forbids — and dies at
+		// the trust boundary.
+		var pcLoad, pcStore, pcCas, pcALU, pcJump int64 = -1, -1, -1, -1, -1
 		for pc, in := range w.Prog.Code {
 			switch {
 			case in.Op == isa.OpLoad && pcLoad < 0:
@@ -271,15 +278,20 @@ func TestErrorTaxonomy(t *testing.T) {
 				pcStore = int64(pc)
 			case in.Op == isa.OpCas && pcCas < 0:
 				pcCas = int64(pc)
-			case !in.Op.IsMem() && pcALU < 0:
+			case in.Op.IsALU() && pcALU < 0:
 				pcALU = int64(pc)
+			case in.Op.IsUncondJump() && pcJump < 0:
+				pcJump = int64(pc)
 			}
 		}
 		hostile := []vm.Event{
-			{Seq: 1, PC: pcLoad, IsStore: true, Addr: 8, Stored: 1},
-			{Seq: 2, PC: pcStore, IsLoad: true, Addr: 8, Loaded: 1},
+			{Seq: 1, PC: pcLoad, IsStore: true, Addr: 8},
+			{Seq: 2, PC: pcStore, IsLoad: true, Addr: 8},
 			{Seq: 3, PC: pcCas},
-			{Seq: 4, PC: pcALU, IsLoad: true, Addr: 8, Loaded: 1},
+			{Seq: 4, PC: pcALU, IsLoad: true, Addr: 8},
+			{Seq: 5, PC: pcLoad, Taken: true},
+			{Seq: 6, PC: pcALU, Taken: true},
+			{Seq: 7, PC: pcJump},
 		}
 		for i, ev := range hostile {
 			if ev.PC < 0 {
@@ -350,8 +362,9 @@ func TestErrorTaxonomy(t *testing.T) {
 }
 
 // TestEventsRandomRoundTrip round-trips adversarially jumpy synthetic
-// streams (PC and address deltas in both directions, negative values,
-// CAS-like load+store events) instead of relying on workload locality.
+// streams (mkJumpyBatch: PC and address deltas in both directions, Seq
+// gaps, CAS rows that succeed and fail) instead of relying on workload
+// locality.
 func TestEventsRandomRoundTrip(t *testing.T) {
 	w, err := workloads.ByName("queue-fixed", 1, 0)
 	if err != nil {
@@ -359,68 +372,15 @@ func TestEventsRandomRoundTrip(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	const threads = 8
-	// The deframer validates flag/opcode consistency per PC, so the
-	// synthetic rows must draw their PC from the opcode class matching
-	// the shape they fake — exactly what a real VM stream guarantees.
-	var pcNone, pcLoad, pcStore, pcCas []int64
-	for pc, in := range w.Prog.Code {
-		switch in.Op {
-		case isa.OpLoad:
-			pcLoad = append(pcLoad, int64(pc))
-		case isa.OpStore:
-			pcStore = append(pcStore, int64(pc))
-		case isa.OpCas:
-			pcCas = append(pcCas, int64(pc))
-		default:
-			pcNone = append(pcNone, int64(pc))
-		}
-	}
-	pick := func(pcs []int64) int64 { return pcs[rng.Intn(len(pcs))] }
 	var seq uint64
-	mkBatch := func(n int) []vm.Event {
-		evs := make([]vm.Event, n)
-		for i := range evs {
-			seq += uint64(rng.Intn(3) + 1) // gaps: a filtered stream stays decodable
-			evs[i] = vm.Event{
-				Seq:   seq,
-				CPU:   rng.Intn(threads),
-				Taken: rng.Intn(2) == 0,
-			}
-			shape := rng.Intn(4)
-			classes := [4][]int64{pcLoad, pcStore, pcCas, pcNone}
-			for len(classes[shape]) == 0 { // e.g. a program with no CAS
-				shape = rng.Intn(4)
-			}
-			switch shape {
-			case 0:
-				evs[i].PC = pick(pcLoad)
-				evs[i].IsLoad = true
-				evs[i].Addr = rng.Int63n(1 << 40)
-				evs[i].Loaded = rng.Int63() - rng.Int63()
-			case 1:
-				evs[i].PC = pick(pcStore)
-				evs[i].IsStore = true
-				evs[i].Addr = rng.Int63n(1 << 40)
-				evs[i].Stored = rng.Int63() - rng.Int63()
-			case 2: // CAS shape
-				evs[i].PC = pick(pcCas)
-				evs[i].IsLoad, evs[i].IsStore = true, true
-				evs[i].Addr = rng.Int63n(1 << 40)
-				evs[i].Loaded = rng.Int63()
-				evs[i].Stored = -rng.Int63()
-			default:
-				evs[i].PC = pick(pcNone)
-			}
-			evs[i].Instr = w.Prog.Code[evs[i].PC]
-		}
-		return evs
-	}
-
 	var buf bytes.Buffer
 	f := NewFramer(&buf, threads)
 	var sent [][]vm.Event
 	for i := 0; i < 50; i++ {
-		b := mkBatch(rng.Intn(100) + 1)
+		b := mkJumpyBatch(rng, w.Prog, threads, rng.Intn(100)+1, &seq)
+		for j := range b {
+			b[j].Instr = w.Prog.Code[b[j].PC]
+		}
 		sent = append(sent, b)
 		if err := f.WriteColumns(toBatch(b)); err != nil {
 			t.Fatal(err)
@@ -444,4 +404,65 @@ func TestWriteColumnsRejectsForeignCPU(t *testing.T) {
 	if err := f.WriteColumns(toBatch([]vm.Event{{CPU: 5}})); err == nil {
 		t.Fatal("want error for cpu outside thread count")
 	}
+}
+
+// TestWireBytesPerEvent pins the codec's density: whole streams — Hello,
+// every Events frame at the VM's own batch boundaries, Goodbye, frame
+// headers included — of two registry executions at scale 1, seed 1000,
+// divided by their events. The figure depends only on the encoder, so
+// it is the host-independent counter behind perfbench's
+// wire.bytes_per_event.
+func TestWireBytesPerEvent(t *testing.T) {
+	for _, c := range []struct {
+		workload string
+		max      float64
+	}{
+		{"pgsql-oltp", 1.5},
+		{"queue-fixed", 2.0},
+	} {
+		t.Run(c.workload, func(t *testing.T) {
+			const seed = 1000
+			w, err := workloads.ByName(c.workload, 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := w.NewVM(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var cw countingWriter
+			f := NewFramer(&cw, w.NumThreads)
+			if err := f.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+			events := 0
+			m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+				if err := f.WriteColumns(eb); err != nil {
+					t.Fatal(err)
+				}
+				events += eb.Len()
+			}))
+			if _, err := m.Run(1 << 24); err != nil {
+				t.Fatal(err)
+			}
+			if !m.Done() {
+				t.Fatal("execution did not finish")
+			}
+			if err := f.WriteGoodbye(); err != nil {
+				t.Fatal(err)
+			}
+			perEvent := float64(cw) / float64(events)
+			t.Logf("%d events in %d bytes: %.3f B/event", events, cw, perEvent)
+			if perEvent > c.max {
+				t.Errorf("%.3f B/event, want <= %.1f", perEvent, c.max)
+			}
+		})
+	}
+}
+
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }

@@ -59,7 +59,7 @@ type countWriter struct{ n int64 }
 
 func (c *countWriter) Write(p []byte) (int, error) { c.n += int64(len(p)); return len(p), nil }
 
-// BenchmarkWireEncode measures the delta codec's cost to frame one full
+// BenchmarkWireEncode measures the column codec's cost to frame one full
 // execution (hello + every event batch).
 func BenchmarkWireEncode(b *testing.B) {
 	w, batches, events := recordColumns(b, "queue-buggy", 1)
