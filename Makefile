@@ -4,7 +4,7 @@
 # the coverage floor; `make bench-smoke` runs each hot-path
 # microbenchmark once as a compile-and-run sanity check (use `make
 # bench` for real numbers); `make fuzz-smoke` gives the wire decoder's
-# fuzzer a short budget.
+# and the journal segment scanner's fuzzers a short budget.
 
 GO ?= go
 COVER_MIN ?= 70
@@ -112,12 +112,16 @@ bench-profile:
 hotpath:
 	$(GO) run ./cmd/svdbench -hotpath -scale 2 -json BENCH_hotpath.json
 
-# Short-budget fuzz of the wire decoder: untrusted bytes must map to the
-# protocol's error taxonomy, never a panic. The seed corpus covers
+# Short-budget fuzz of the wire decoder and the journal segment scanner:
+# untrusted bytes must map to the protocol's error taxonomy (or, for a
+# segment, a torn tail), never a panic. The wire seed corpus covers
 # truncations, bad magic, version skew, length abuse, the cluster
 # frames, and each column-section malformation of the Events payload.
-# Both targets get the budget: FuzzDeframeColumns drives the served
-# decode path, FuzzDeframe the control-frame reader (the Hello decoder).
+# Every target gets the budget: FuzzDeframeColumns drives the served
+# decode path, FuzzDeframe the control-frame reader (the Hello decoder),
+# and FuzzJournalSegment the segment scanner, which indexes every
+# journal segment on every open and every read.
 fuzz-smoke:
 	$(GO) test -run NONE -fuzz 'FuzzDeframeColumns$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
 	$(GO) test -run NONE -fuzz 'FuzzDeframe$$' -fuzztime $(FUZZ_TIME) ./internal/wire/
+	$(GO) test -run NONE -fuzz 'FuzzJournalSegment$$' -fuzztime $(FUZZ_TIME) ./internal/journal/

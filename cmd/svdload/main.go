@@ -59,7 +59,7 @@ func main() {
 		scale       = flag.Int("scale", 1, "workload size multiplier")
 		rate        = flag.Float64("rate", 0, "target events/sec per stream (0 = unpaced)")
 		witness     = flag.Bool("witness", false, "ask the server for violation witnesses")
-		embed       = flag.Bool("embed-program", false, "ship the program image in the handshake instead of naming the workload")
+		embed       = flag.Bool("embed-program", false, "ship the program image in the handshake alongside the workload name; only a daemon that does not know that name serves from the image")
 		verify      = flag.Bool("verify", false, "re-run each sample in-process and require bit-identical reports")
 		tolerate    = flag.Bool("tolerate-disconnect", false, "treat a dropped connection as the end of the run, not a failure (crash-drill mode)")
 		latency     = flag.Bool("latency", false, "negotiate send stamps and report wire-to-verdict latency percentiles")

@@ -212,11 +212,8 @@ func listJournal(r *journal.Reader, jsonOut bool) {
 	fmt.Fprintln(tw, "SEGMENT\tBYTES\tRECORDS\tCREATED\tSTATE")
 	for _, s := range r.Segments() {
 		state := "sealed"
-		switch {
-		case s.Torn:
+		if s.Torn {
 			state = "torn-tail"
-		case s.Scanned:
-			state = "scanned"
 		}
 		fmt.Fprintf(tw, "%016x\t%d\t%d\t%s\t%s\n",
 			s.ID, s.Size, s.Records,

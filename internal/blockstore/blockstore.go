@@ -11,10 +11,8 @@
 // is two array indexes and a mask instead of a map probe, and pages are
 // materialized only for the address ranges a thread actually touches.
 //
-// For pathological sparse address spaces (or very large BlockShift
-// configurations) a map-backed mode is available via Options.Sparse; block
-// numbers outside the dense range (negative, or beyond MaxPages pages)
-// transparently overflow into the same map.
+// Block numbers outside the dense range (negative, or beyond MaxPages
+// pages) transparently overflow into a map.
 package blockstore
 
 // DefaultPageShift sizes pages at 1<<9 = 512 entries: small enough that a
@@ -35,10 +33,6 @@ type Options struct {
 	// MaxPages bounds the dense page table; zero means a 2^15-page cap.
 	// Blocks at or beyond MaxPages<<PageShift go to the overflow map.
 	MaxPages int
-
-	// Sparse forces map-backed storage for every block — the escape hatch
-	// for address spaces too sparse for paging to pay off.
-	Sparse bool
 }
 
 // Store is a paged flat store of per-block metadata of type T, indexed by
@@ -48,7 +42,6 @@ type Store[T any] struct {
 	pageShift uint
 	mask      int64
 	maxPages  int
-	sparse    bool
 	pages     [][]T
 	overflow  map[int64]*T
 }
@@ -65,17 +58,16 @@ func New[T any](opts Options) *Store[T] {
 		pageShift: opts.PageShift,
 		mask:      (int64(1) << opts.PageShift) - 1,
 		maxPages:  opts.MaxPages,
-		sparse:    opts.Sparse,
 	}
 }
 
-// Lookup returns the slot for block b, or nil if no page (or map entry)
-// has been materialized for it. A non-nil result may still be a zero T:
-// pages materialize 1<<PageShift neighbors at once, and it is the caller's
-// convention (e.g. a touched flag in T) that distinguishes a recorded
-// block from a zeroed neighbor.
+// Lookup returns the slot for block b, or nil if no page (or overflow
+// entry) has been materialized for it. A non-nil result may still be a
+// zero T: pages materialize 1<<PageShift neighbors at once, and it is the
+// caller's convention (e.g. a touched flag in T) that distinguishes a
+// recorded block from a zeroed neighbor.
 func (s *Store[T]) Lookup(b int64) *T {
-	if !s.sparse && b >= 0 {
+	if b >= 0 {
 		pi := b >> s.pageShift
 		if pi < int64(len(s.pages)) {
 			if p := s.pages[pi]; p != nil {
@@ -90,11 +82,11 @@ func (s *Store[T]) Lookup(b int64) *T {
 	return s.overflow[b]
 }
 
-// Ensure returns the slot for block b, materializing its page (or map
-// entry) if needed. The materialized-page case is kept small enough to
-// inline into the detectors' per-access paths.
+// Ensure returns the slot for block b, materializing its page (or
+// overflow entry) if needed. The materialized-page case is kept small
+// enough to inline into the detectors' per-access paths.
 func (s *Store[T]) Ensure(b int64) *T {
-	if !s.sparse && b >= 0 {
+	if b >= 0 {
 		pi := b >> s.pageShift
 		if pi < int64(len(s.pages)) {
 			if p := s.pages[pi]; p != nil {
@@ -106,7 +98,7 @@ func (s *Store[T]) Ensure(b int64) *T {
 }
 
 func (s *Store[T]) ensureSlow(b int64) *T {
-	if !s.sparse && b >= 0 {
+	if b >= 0 {
 		pi := b >> s.pageShift
 		if pi < int64(s.maxPages) {
 			if pi >= int64(len(s.pages)) {
@@ -134,7 +126,7 @@ func (s *Store[T]) ensureSlow(b int64) *T {
 // Delete clears block b's slot back to the zero T (dense) or removes its
 // entry (overflow). Pages are not reclaimed.
 func (s *Store[T]) Delete(b int64) {
-	if !s.sparse && b >= 0 {
+	if b >= 0 {
 		pi := b >> s.pageShift
 		if pi < int64(len(s.pages)) {
 			if p := s.pages[pi]; p != nil {

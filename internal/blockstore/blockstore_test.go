@@ -52,21 +52,6 @@ func TestNegativeAndHugeBlocksOverflow(t *testing.T) {
 	}
 }
 
-func TestSparseMode(t *testing.T) {
-	s := New[meta](Options{Sparse: true})
-	s.Ensure(5).n = 7
-	if got := s.Lookup(5); got == nil || got.n != 7 {
-		t.Fatalf("sparse round trip = %+v", got)
-	}
-	// Sparse mode materializes exactly the ensured blocks.
-	if nb := s.Lookup(6); nb != nil {
-		t.Fatalf("sparse neighbor = %v, want nil", nb)
-	}
-	if got := s.Slots(); got != 1 {
-		t.Fatalf("sparse Slots = %d, want 1", got)
-	}
-}
-
 func TestDeleteZeroesDenseSlot(t *testing.T) {
 	s := New[meta](Options{})
 	s.Ensure(100).n = 3

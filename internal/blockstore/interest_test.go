@@ -90,31 +90,29 @@ func TestThreadSetForEachOrder(t *testing.T) {
 }
 
 func TestInterestIndex(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		ix := NewInterest(Options{Sparse: sparse})
-		if got := ix.Get(42); !got.Empty() {
-			t.Errorf("sparse=%v: unrecorded block not empty", sparse)
-		}
-		ix.Add(42, 3)
-		ix.Add(42, 7)
-		ix.Add(-8, 3) // negative block ids must work like the stores they mirror
-		if got := ix.Get(42); !got.Has(3) || !got.Has(7) || got.Len() != 2 {
-			t.Errorf("sparse=%v: Get(42) = %+v", sparse, got)
-		}
-		if !ix.Get(-8).Only(3) {
-			t.Errorf("sparse=%v: negative block lost", sparse)
-		}
-		if got := ix.Population(); got != 3 {
-			t.Errorf("sparse=%v: population = %d, want 3", sparse, got)
-		}
-		ix.Remove(42, 3)
-		if got := ix.Get(42); !got.Only(7) {
-			t.Errorf("sparse=%v: remove failed: %+v", sparse, got)
-		}
-		// Removing from a block never recorded must not materialize it.
-		ix.Remove(1000, 5)
-		if got := ix.Population(); got != 2 {
-			t.Errorf("sparse=%v: population after removes = %d, want 2", sparse, got)
-		}
+	ix := NewInterest(Options{})
+	if got := ix.Get(42); !got.Empty() {
+		t.Error("unrecorded block not empty")
+	}
+	ix.Add(42, 3)
+	ix.Add(42, 7)
+	ix.Add(-8, 3) // negative block ids must work like the stores they mirror
+	if got := ix.Get(42); !got.Has(3) || !got.Has(7) || got.Len() != 2 {
+		t.Errorf("Get(42) = %+v", got)
+	}
+	if !ix.Get(-8).Only(3) {
+		t.Error("negative block lost")
+	}
+	if got := ix.Population(); got != 3 {
+		t.Errorf("population = %d, want 3", got)
+	}
+	ix.Remove(42, 3)
+	if got := ix.Get(42); !got.Only(7) {
+		t.Errorf("remove failed: %+v", got)
+	}
+	// Removing from a block never recorded must not materialize it.
+	ix.Remove(1000, 5)
+	if got := ix.Population(); got != 2 {
+		t.Errorf("population after removes = %d, want 2", got)
 	}
 }

@@ -44,10 +44,6 @@ type Options struct {
 	// Zero means 1 << 16.
 	MaxRaces int
 
-	// SparseBlockTable keeps block metadata in a hash map instead of the
-	// paged flat store — the escape hatch for sparse address spaces.
-	SparseBlockTable bool
-
 	// NoInterestIndex disables the per-block reader interest set: every
 	// write scans every thread's read epoch, as in the original
 	// implementation. Debug and differential-testing knob; the indexed
@@ -229,7 +225,7 @@ func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
 		numCPUs:  numCPUs,
 		useIndex: !opts.NoInterestIndex,
 		vc:       make([]vclock, numCPUs),
-		blocks:   blockstore.New[blockInfo](blockstore.Options{Sparse: opts.SparseBlockTable}),
+		blocks:   blockstore.New[blockInfo](blockstore.Options{}),
 		sites:    make(map[SiteKey]*Site),
 	}
 	for i := range d.vc {

@@ -1,8 +1,10 @@
 // Append-path microbenchmarks: the per-record cost a journaled ingest
-// hop pays on the producer thread. BenchmarkWriterAppend is the number
-// to read against BenchmarkServerIngestJournaled — one ingest op appends
-// ~70 wire frames of ~10 KiB, so (ns/op here) × 70 is the journal's
-// share of that benchmark's gap over ServerIngestSteady.
+// hop pays on the producer thread. The first three write 10 KiB records
+// to tmpfs, so they measure the code rather than the disk.
+// BenchmarkWriterAppendDisk writes 600-byte records — about one
+// 512-event Events frame, the size BenchmarkServerIngestJournaled
+// journals 68 of per op — with default Options to the real filesystem,
+// as svdd -journal does.
 package journal
 
 import (
@@ -23,8 +25,8 @@ func benchDir(b *testing.B) string {
 	return b.TempDir()
 }
 
-func benchAppend(b *testing.B, payloadBytes int, opts Options) {
-	prov, err := OpenDir(benchDir(b))
+func benchAppend(b *testing.B, dir string, payloadBytes int, opts Options) {
+	prov, err := OpenDir(dir)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,21 +61,28 @@ func benchAppend(b *testing.B, payloadBytes int, opts Options) {
 // pipeline and background fsync ticker, one oversized segment so
 // rotation stays out of the loop.
 func BenchmarkWriterAppend(b *testing.B) {
-	benchAppend(b, 10<<10, Options{SegmentBytes: 1 << 40})
+	benchAppend(b, benchDir(b), 10<<10, Options{SegmentBytes: 1 << 40})
 }
 
 // BenchmarkWriterAppendRotating includes rotation and retention at the
 // default 64 MiB segment size — the cost profile of a long-running
 // daemon, amortized.
 func BenchmarkWriterAppendRotating(b *testing.B) {
-	benchAppend(b, 10<<10, Options{RetainSegments: 4})
+	benchAppend(b, benchDir(b), 10<<10, Options{RetainSegments: 4})
 }
 
 // BenchmarkWriterAppendRecycled is the steady state of a long-running
 // daemon under retention: every rotation reuses a parked segment file,
-// so appends overwrite already-allocated pages instead of paying
-// first-touch page allocation — the configuration the journaled ingest
-// guard measures.
+// so appends overwrite already-allocated pages instead of growing a
+// fresh file — the configuration the journaled ingest guard measures.
 func BenchmarkWriterAppendRecycled(b *testing.B) {
-	benchAppend(b, 10<<10, Options{SegmentBytes: 8 << 20, RetainSegments: 1})
+	benchAppend(b, benchDir(b), 10<<10, Options{SegmentBytes: 8 << 20, RetainSegments: 1})
+}
+
+// BenchmarkWriterAppendDisk is svdd's configuration: Events-frame-sized
+// records, default Options (64 MiB segments, async flush, 100 ms fsync
+// ticker, no retention), on the real filesystem. Not guarded: a disk's
+// writeback makes it the noisiest of the four.
+func BenchmarkWriterAppendDisk(b *testing.B) {
+	benchAppend(b, b.TempDir(), 600, Options{})
 }

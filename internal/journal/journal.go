@@ -15,8 +15,8 @@
 //
 // A journal is a directory (or any Provider namespace) of segments:
 //
-//	seg-%016x.svdj   records, append-only
-//	seg-%016x.idx    index sidecar, written when the segment seals
+//	seg-%016x.svdj       records, append-only
+//	recycle-%04d.svdj    a retired segment file parked for reuse
 //
 // Each segment opens with a 16-byte header:
 //
@@ -37,35 +37,35 @@
 //
 // The CRC makes every record self-validating: a torn tail (power cut,
 // SIGKILL mid-write) fails the checksum and recovery truncates the
-// segment at the last whole record. The index sidecar holds one entry
-// per record — (stream, seq-range, offset) — so a reader seeks without
-// scanning; a missing or corrupt sidecar is rebuilt by scanning the
-// segment, which the record format makes cheap and safe.
+// segment at the last whole record. The same forward scan is the only
+// index: recovery and OpenReader walk each segment once and hold one
+// entry per record — (stream, seq-range, offset) — in memory.
 //
 // # Lifecycle
 //
-// OpenWriter recovers the directory (truncating torn tails, sealing any
-// segment the previous process never sealed) and starts a fresh active
-// segment. Append buffers records and flushes in large writes; fsync
-// runs on a wall-clock interval so the loss window is bounded without
-// putting a disk flush on every batch. Segments rotate by size or age;
-// rotation seals the finished segment (writes its sidecar) and applies
-// retention, deleting the oldest sealed segments beyond the configured
-// count or byte budget.
+// OpenWriter recovers the directory (truncating torn tails, removing
+// segments with no whole record) and starts a fresh active segment.
+// Append buffers records and flushes in large writes; fsync runs on a
+// wall-clock interval so the loss window is bounded without putting a
+// disk flush on every batch. Segments rotate by size or age; rotation
+// seals the finished segment (trim, fsync, close) and applies
+// retention, parking or deleting the oldest sealed segments beyond the
+// configured count or byte budget. Every namespace change (create,
+// rename, remove) is followed by a directory sync before the call that
+// made it returns.
 package journal
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
-
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -129,19 +129,10 @@ const (
 	MaxRecordPayload = 96 << 20
 
 	segSuffix = ".svdj"
-	idxSuffix = ".idx"
 )
 
 // DefaultSegmentBytes rotates segments at 64 MiB.
 const DefaultSegmentBytes = 64 << 20
-
-// maxSegmentRecords also rotates the active segment, whatever its size:
-// the writer holds one IndexEntry per record of the active segment
-// until it seals, so the cap bounds that index at 1.5 MiB. Without it
-// the index grows with records per segment, and small records — a
-// 512-event Events frame is about 560 bytes — put 120 K records in one
-// 64 MiB segment.
-const maxSegmentRecords = 1 << 15
 
 // DefaultFsyncInterval bounds the unsynced window to 100ms.
 const DefaultFsyncInterval = 100 * time.Millisecond
@@ -153,6 +144,9 @@ const DefaultRecycleSegments = 2
 // defaultBufBytes is the append buffer: records accumulate here and hit
 // the provider in large sequential writes.
 const defaultBufBytes = 256 << 10
+
+// scanBufBytes is the segment scan's read buffer.
+const scanBufBytes = 64 << 10
 
 // crcTable is Castagnoli, the polynomial with hardware support on both
 // amd64 and arm64.
@@ -187,26 +181,23 @@ type Meta struct {
 
 // IndexEntry locates one record inside a segment.
 type IndexEntry struct {
-	Stream   uint64 `json:"stream"`
-	Kind     Kind   `json:"kind"`
-	Offset   int64  `json:"off"`
-	Len      int64  `json:"len"` // whole record, header included
-	FirstSeq uint64 `json:"first_seq,omitempty"`
-	LastSeq  uint64 `json:"last_seq,omitempty"`
-}
-
-// segIndex is the sidecar's JSON shape.
-type segIndex struct {
-	Version         int          `json:"version"`
-	Segment         uint64       `json:"segment"`
-	CreatedUnixNano int64        `json:"created_unix_nano"`
-	SealedUnixNano  int64        `json:"sealed_unix_nano"`
-	Size            int64        `json:"size"`
-	Entries         []IndexEntry `json:"entries"`
+	Stream   uint64
+	Kind     Kind
+	Offset   int64
+	Len      int64 // whole record, header included
+	FirstSeq uint64
+	LastSeq  uint64
 }
 
 func segName(id uint64) string { return fmt.Sprintf("seg-%016x%s", id, segSuffix) }
-func idxName(id uint64) string { return fmt.Sprintf("seg-%016x%s", id, idxSuffix) }
+
+// isLeftoverIndex reports a JSON index sidecar (seg-%016x.idx) that
+// older builds wrote next to each sealed segment. This build indexes by
+// scanning, so OpenWriter removes them; retention would never reach
+// them otherwise.
+func isLeftoverIndex(name string) bool {
+	return strings.HasPrefix(name, "seg-") && strings.HasSuffix(name, ".idx")
+}
 
 // recycleName names a retired segment file parked for reuse. The prefix
 // keeps it out of parseSegName's namespace, so readers and recovery
@@ -244,7 +235,7 @@ type CompactionResult struct {
 // RecoveryInfo reports what OpenWriter had to repair.
 type RecoveryInfo struct {
 	Segments        int   `json:"segments"`         // segments found on open
-	Repaired        int   `json:"repaired"`         // segments sealed by scan (unclean shutdown)
+	Repaired        int   `json:"repaired"`         // segments whose torn tail was truncated
 	TruncatedBytes  int64 `json:"truncated_bytes"`  // torn-tail bytes cut
 	RemovedSegments int   `json:"removed_segments"` // unreadable or empty segments deleted
 }
@@ -281,9 +272,8 @@ type Stats struct {
 
 // Options tune a Writer.
 type Options struct {
-	// SegmentBytes rotates the active segment once it reaches this size
-	// (or maxSegmentRecords records, whichever comes first). <= 0 means
-	// DefaultSegmentBytes.
+	// SegmentBytes rotates the active segment once it reaches this size.
+	// <= 0 means DefaultSegmentBytes.
 	SegmentBytes int64
 
 	// SegmentAge rotates the active segment once it has been open this
@@ -300,11 +290,10 @@ type Options struct {
 	RetainBytes int64
 
 	// RecycleSegments caps how many retired segment files rotation parks
-	// for reuse instead of deleting. Reusing a parked file skips the
-	// kernel's first-touch page allocation — the dominant cost of
-	// growing a fresh segment — at the price of holding that many
-	// segments of disk past retention. 0 means DefaultRecycleSegments;
-	// < 0 disables recycling.
+	// for reuse instead of deleting. Overwriting a parked file's
+	// allocated blocks is cheaper than growing a fresh file, at the
+	// price of holding that many segments of disk past retention. 0
+	// means DefaultRecycleSegments; < 0 disables recycling.
 	RecycleSegments int
 
 	// FsyncInterval bounds the unsynced window: a background ticker
@@ -357,18 +346,17 @@ type Writer struct {
 	p    Provider
 	opts Options
 
-	mu       sync.Mutex
-	f        WriteFile // active segment
-	segID    uint64
-	seed     uint32 // segSeed of the active segment; records CRC from it
-	off      int64  // next record offset in the active segment
-	buf      []byte
-	direct   bool  // active segment WriteFile is a cheap memcpy: skip buf
-	flushed  int64 // bytes of the active segment already written through
-	created  int64 // active segment creation stamp
-	index    []IndexEntry
+	mu      sync.Mutex
+	f       WriteFile // active segment
+	segID   uint64
+	seed    uint32 // segSeed of the active segment; records CRC from it
+	off     int64  // next record offset in the active segment
+	buf     []byte
+	created int64 // active segment creation stamp
+	// recycled marks an active segment that overwrites a parked file:
+	// the file's old bytes past off survive until the seal trims them.
+	recycled bool
 	sealed   []sealedSeg
-	lastSync time.Time
 	closed   bool
 
 	// freelist holds parked segment files awaiting reuse; nextRecycle
@@ -420,9 +408,9 @@ type Writer struct {
 }
 
 // OpenWriter opens (and if necessary repairs) the journal behind p and
-// starts a fresh active segment. Segments the previous process never
-// sealed are scanned, torn tails truncated, and sidecars written, so
-// the directory is always in a clean state before new records land.
+// starts a fresh active segment. Every segment is scanned and torn
+// tails truncated, so the directory is always in a clean state before
+// new records land.
 func OpenWriter(p Provider, opts Options) (*Writer, error) {
 	w := &Writer{p: p, opts: opts.withDefaults()}
 	names, err := p.List()
@@ -435,10 +423,14 @@ func OpenWriter(p Provider, opts Options) (*Writer, error) {
 			ids = append(ids, id)
 		} else if k, ok := parseRecycleName(n); ok {
 			// A parked file from the previous process: adopt it so its
-			// allocated pages keep paying off across restarts.
+			// allocated blocks keep paying off across restarts.
 			w.freelist = append(w.freelist, n)
 			if k >= w.nextRecycle {
 				w.nextRecycle = k + 1
+			}
+		} else if isLeftoverIndex(n) {
+			if err := p.Remove(n); err != nil {
+				return nil, fmt.Errorf("journal: remove leftover index %s: %w", n, err)
 			}
 		}
 	}
@@ -462,7 +454,9 @@ func OpenWriter(p Provider, opts Options) (*Writer, error) {
 	if err := w.openActive(); err != nil {
 		return nil, err
 	}
-	w.lastSync = w.opts.Now()
+	if err := p.SyncDir(); err != nil {
+		return nil, fmt.Errorf("journal: sync dir: %w", err)
+	}
 	if w.opts.FsyncInterval > 0 {
 		w.flushCh = make(chan flushReq, 1)
 		w.flushRet = make(chan []byte, 2)
@@ -548,41 +542,20 @@ func (w *Writer) syncLoop(stop <-chan struct{}) {
 					w.werr = fmt.Errorf("journal: sync segment %d: %w", seg, err)
 					w.stats.appendErrors++
 				}
+			case d > 0:
+				w.stats.fsyncNs.Observe(uint64(d))
 			default:
-				if d > 0 {
-					w.stats.fsyncNs.Observe(uint64(d))
-				} else {
-					w.stats.fsyncNs.Observe(0)
-				}
-				w.lastSync = w.opts.Now()
+				w.stats.fsyncNs.Observe(0)
 			}
 			w.mu.Unlock()
 		}
 	}
 }
 
-// recoverSegment brings one pre-existing segment to sealed state:
-// trusted via its sidecar when present, otherwise scanned, truncated at
-// the first bad record, and sealed. Returns nil when the segment was
-// empty or unreadable and has been removed.
+// recoverSegment brings one pre-existing segment to sealed state: it is
+// scanned and truncated at the first bad record. Returns nil when the
+// segment was empty or unreadable and has been removed.
 func (w *Writer) recoverSegment(id uint64) (*sealedSeg, error) {
-	if idx, err := loadIndex(w.p, id); err == nil {
-		for _, e := range idx.Entries {
-			if e.Stream >= w.streamBase {
-				w.streamBase = e.Stream + 1
-			}
-		}
-		// Belt and braces: a crash cannot grow a sealed segment, but a
-		// partial copy can shrink one; trust the smaller of the two.
-		size := idx.Size
-		if actual, err := w.p.Size(segName(id)); err == nil && actual < size {
-			size = actual
-		}
-		return &sealedSeg{id: id, size: size, created: idx.CreatedUnixNano}, nil
-	}
-
-	// No usable sidecar: the previous process died with this segment
-	// active. Scan, truncate the torn tail, seal.
 	f, err := w.p.Open(segName(id))
 	if err != nil {
 		return nil, fmt.Errorf("journal: recover %s: %w", segName(id), err)
@@ -598,6 +571,7 @@ func (w *Writer) recoverSegment(id uint64) (*sealedSeg, error) {
 		return nil, nil
 	}
 	if size, err := w.p.Size(segName(id)); err == nil && size > sc.goodBytes {
+		w.recovery.Repaired++
 		w.recovery.TruncatedBytes += size - sc.goodBytes
 		if err := w.p.Truncate(segName(id), sc.goodBytes); err != nil {
 			return nil, fmt.Errorf("journal: truncate %s: %w", segName(id), err)
@@ -616,17 +590,6 @@ func (w *Writer) recoverSegment(id uint64) (*sealedSeg, error) {
 			w.streamBase = e.Stream + 1
 		}
 	}
-	if err := writeIndex(w.p, segIndex{
-		Version:         segVersion,
-		Segment:         id,
-		CreatedUnixNano: sc.created,
-		SealedUnixNano:  w.opts.Now().UnixNano(),
-		Size:            sc.goodBytes,
-		Entries:         sc.entries,
-	}); err != nil {
-		return nil, err
-	}
-	w.recovery.Repaired++
 	return &sealedSeg{id: id, size: sc.goodBytes, created: sc.created}, nil
 }
 
@@ -638,12 +601,14 @@ func (w *Writer) recoverSegment(id uint64) (*sealedSeg, error) {
 func (w *Writer) openActive() error {
 	name := segName(w.segID)
 	var f WriteFile
+	w.recycled = false
 	if n := len(w.freelist); n > 0 {
 		parked := w.freelist[n-1]
 		w.freelist = w.freelist[:n-1]
 		if w.p.Rename(parked, name) == nil {
 			if rf, err := w.p.Recycle(name); err == nil {
 				f = rf
+				w.recycled = true
 				w.stats.recycled++
 			}
 		}
@@ -667,13 +632,9 @@ func (w *Writer) openActive() error {
 		return fmt.Errorf("journal: segment header: %w", err)
 	}
 	w.f = f
-	dw, ok := f.(DirectWriter)
-	w.direct = ok && dw.DirectWrite()
 	w.off = segHeaderSize
-	w.flushed = segHeaderSize
 	w.created = now
 	w.seed = segSeed(w.segID, now)
-	w.index = w.index[:0]
 	if w.buf == nil {
 		w.buf = make([]byte, 0, defaultBufBytes)
 	} else {
@@ -721,66 +682,33 @@ func (w *Writer) Append(m Meta, hdr, payload []byte) (Loc, error) {
 	crc = crc32.Update(crc, crcTable, payload)
 	binary.LittleEndian.PutUint32(rec[0:4], crc)
 
-	if w.direct {
-		// Mapped segment: each Write is a memcpy, so records go straight
-		// through and the append buffer (whose batching amortizes
-		// syscalls this file doesn't make) stays out of the way.
-		if err := w.writeDirect(rec, hdr, payload); err != nil {
-			return loc, err
-		}
-	} else {
-		w.buf = append(w.buf, rec[:]...)
-		w.buf = append(w.buf, hdr...)
-		w.buf = append(w.buf, payload...)
-	}
+	w.buf = append(w.buf, rec...)
+	w.buf = append(w.buf, hdr...)
+	w.buf = append(w.buf, payload...)
 	recLen := int64(recHeaderSize + n)
-	w.index = append(w.index, IndexEntry{
-		Stream: m.Stream, Kind: m.Kind, Offset: w.off, Len: recLen,
-		FirstSeq: m.FirstSeq, LastSeq: m.LastSeq,
-	})
 	w.off += recLen
 	w.stats.appendedRecords++
 	w.stats.appendedBytes += uint64(recLen)
 
 	now := w.opts.Now()
 	w.stats.newestUnixNano = now.UnixNano()
-	if !w.direct && len(w.buf) >= defaultBufBytes {
+	if len(w.buf) >= defaultBufBytes {
 		if err := w.flushLocked(); err != nil {
 			return loc, err
 		}
 	}
 	if w.opts.FsyncInterval < 0 {
-		if err := w.syncLocked(now); err != nil {
+		if err := w.syncLocked(); err != nil {
 			return loc, err
 		}
 	}
-	if w.off >= w.opts.SegmentBytes || len(w.index) >= maxSegmentRecords ||
+	if w.off >= w.opts.SegmentBytes ||
 		(w.opts.SegmentAge > 0 && now.UnixNano()-w.created >= int64(w.opts.SegmentAge)) {
 		if err := w.rotateLocked(now); err != nil {
 			return loc, err
 		}
 	}
 	return loc, nil
-}
-
-// writeDirect sends one record straight to the active segment's
-// WriteFile — the path for mapped segments, where each Write is a
-// user-space copy and buffering would only add one more.
-func (w *Writer) writeDirect(rec, hdr, payload []byte) error {
-	parts := [3][]byte{rec, hdr, payload}
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		n, err := w.f.Write(p)
-		w.flushed += int64(n)
-		if err != nil {
-			w.werr = fmt.Errorf("journal: write segment %d: %w", w.segID, err)
-			w.stats.appendErrors++
-			return w.werr
-		}
-	}
-	return nil
 }
 
 // flushLocked pushes the append buffer toward the provider. In async
@@ -794,7 +722,6 @@ func (w *Writer) flushLocked() error {
 	}
 	if w.flushCh != nil {
 		w.flushCh <- flushReq{f: w.f, seg: w.segID, buf: w.buf}
-		w.flushed += int64(len(w.buf))
 		w.buf = (<-w.flushRet)[:0]
 		return nil
 	}
@@ -803,7 +730,6 @@ func (w *Writer) flushLocked() error {
 		w.stats.appendErrors++
 		return w.werr
 	}
-	w.flushed += int64(len(w.buf))
 	w.buf = w.buf[:0]
 	return nil
 }
@@ -826,7 +752,7 @@ func (w *Writer) drainFlushLocked() error {
 
 // syncLocked flushes, drains, and fsyncs the active segment, timing the
 // sync.
-func (w *Writer) syncLocked(now time.Time) error {
+func (w *Writer) syncLocked() error {
 	if err := w.flushLocked(); err != nil {
 		return err
 	}
@@ -844,7 +770,6 @@ func (w *Writer) syncLocked(now time.Time) error {
 	} else {
 		w.stats.fsyncNs.Observe(0)
 	}
-	w.lastSync = now
 	return nil
 }
 
@@ -856,16 +781,16 @@ func (w *Writer) Sync() error {
 	if w.closed {
 		return nil
 	}
-	return w.syncLocked(w.opts.Now())
+	return w.syncLocked()
 }
 
 // rotateLocked seals the active segment and opens the next one, then
-// applies retention to the sealed set.
+// applies retention to the sealed set. The directory sync at the end
+// makes the rotation's namespace changes — the new segment's create or
+// unpark rename, retention's park renames and removes — durable before
+// the Append that rotated returns.
 func (w *Writer) rotateLocked(now time.Time) error {
-	if err := w.syncLocked(now); err != nil {
-		return err
-	}
-	if err := w.sealActiveLocked(now); err != nil {
+	if err := w.sealActiveLocked(); err != nil {
 		return err
 	}
 	w.stats.rotations++
@@ -875,20 +800,34 @@ func (w *Writer) rotateLocked(now time.Time) error {
 		return err
 	}
 	w.compactLocked(now)
+	if err := w.p.SyncDir(); err != nil {
+		w.werr = fmt.Errorf("journal: sync dir: %w", err)
+		w.stats.appendErrors++
+		return w.werr
+	}
 	return nil
 }
 
-// sealActiveLocked closes the active segment and writes its sidecar.
-func (w *Writer) sealActiveLocked(now time.Time) error {
-	if err := writeIndex(w.p, segIndex{
-		Version:         segVersion,
-		Segment:         w.segID,
-		CreatedUnixNano: w.created,
-		SealedUnixNano:  now.UnixNano(),
-		Size:            w.off,
-		Entries:         w.index,
-	}); err != nil {
-		w.werr = err
+// sealActiveLocked writes the active segment through, fsyncs and closes
+// it. A recycled file is first trimmed to w.off: nothing else records
+// where its records end, and the previous incarnation's bytes past them
+// would scan as a torn tail on the next open. The trim precedes the
+// fsync, so the cut is as durable as the records.
+func (w *Writer) sealActiveLocked() error {
+	if w.recycled {
+		if err := w.flushLocked(); err != nil {
+			return err
+		}
+		if err := w.drainFlushLocked(); err != nil {
+			return err
+		}
+		if err := w.p.Truncate(segName(w.segID), w.off); err != nil {
+			w.werr = fmt.Errorf("journal: trim segment %d: %w", w.segID, err)
+			w.stats.appendErrors++
+			return w.werr
+		}
+	}
+	if err := w.syncLocked(); err != nil {
 		return err
 	}
 	if err := w.f.Close(); err != nil {
@@ -933,27 +872,18 @@ func (w *Writer) compactLocked(now time.Time) {
 }
 
 // retireLocked disposes of a compacted segment: parked for reuse while
-// the freelist has room, deleted otherwise. Either way its sidecar goes
-// — a parked file has no index identity until rotation renames it back
-// into the segment namespace.
+// the freelist has room, deleted otherwise.
 func (w *Writer) retireLocked(id uint64) error {
 	if w.opts.RecycleSegments > 0 && len(w.freelist) < w.opts.RecycleSegments {
 		name := recycleName(w.nextRecycle)
 		if err := w.p.Rename(segName(id), name); err == nil {
 			w.nextRecycle++
 			w.freelist = append(w.freelist, name)
-			// Sidecar removal is best effort: an orphan idx without its
-			// segment is ignored by open and read paths.
-			_ = w.p.Remove(idxName(id))
 			return nil
 		}
 		// Rename failed; fall through and try plain removal.
 	}
-	if err := w.p.Remove(segName(id)); err != nil {
-		return err
-	}
-	_ = w.p.Remove(idxName(id))
-	return nil
+	return w.p.Remove(segName(id))
 }
 
 // Close flushes, seals the active segment, and closes the journal. An
@@ -975,8 +905,11 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	w.closed = true
-	err := w.syncLocked(w.opts.Now())
-	// The final sync drained the flusher (or died trying); stop it before
+	err := w.flushLocked()
+	if err == nil {
+		err = w.drainFlushLocked()
+	}
+	// The drain emptied the flusher (or died trying); stop it before
 	// touching the file again so no write can land after the seal.
 	// flushLoop never takes w.mu, so joining it under the lock is safe.
 	if w.flushCh != nil {
@@ -988,11 +921,14 @@ func (w *Writer) Close() error {
 		w.f.Close()
 		return err
 	}
-	if len(w.index) == 0 {
+	if w.off == segHeaderSize {
 		w.f.Close()
-		return w.p.Remove(segName(w.segID))
+		if err := w.p.Remove(segName(w.segID)); err != nil {
+			return err
+		}
+		return w.p.SyncDir()
 	}
-	return w.sealActiveLocked(w.opts.Now())
+	return w.sealActiveLocked()
 }
 
 // Stats snapshots the journal for /metrics and /statusz.
@@ -1045,7 +981,10 @@ type scanResult struct {
 // goodBytes says where it ends. The id feeds the CRC seed: records from
 // a recycled file's previous incarnation (different id or creation
 // stamp) fail here, which is what keeps stale tails from resurrecting.
-func scanSegment(r io.Reader, id uint64) (scanResult, error) {
+func scanSegment(src io.Reader, id uint64) (scanResult, error) {
+	// Buffered: reading a file record by record would cost two read
+	// syscalls per record, and small records make that the scan's cost.
+	r := bufio.NewReaderSize(src, scanBufBytes)
 	var sc scanResult
 	var hdr [segHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -1100,46 +1039,4 @@ func scanSegment(r io.Reader, id uint64) (scanResult, error) {
 		})
 		sc.goodBytes += recLen
 	}
-}
-
-// --- sidecar IO ---
-
-func writeIndex(p Provider, idx segIndex) error {
-	data, err := json.Marshal(idx)
-	if err != nil {
-		return fmt.Errorf("journal: encode index: %w", err)
-	}
-	f, err := p.Create(idxName(idx.Segment))
-	if err != nil {
-		return fmt.Errorf("journal: create index: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: write index: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: sync index: %w", err)
-	}
-	return f.Close()
-}
-
-func loadIndex(p Provider, id uint64) (segIndex, error) {
-	f, err := p.Open(idxName(id))
-	if err != nil {
-		return segIndex{}, err
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return segIndex{}, err
-	}
-	var idx segIndex
-	if err := json.Unmarshal(data, &idx); err != nil {
-		return segIndex{}, fmt.Errorf("journal: decode index %d: %w", id, err)
-	}
-	if idx.Version != segVersion || idx.Segment != id {
-		return segIndex{}, fmt.Errorf("journal: index %d mismatched (version %d, segment %d)", id, idx.Version, idx.Segment)
-	}
-	return idx, nil
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,7 +76,7 @@ func TestRoundTrip(t *testing.T) {
 		}
 		defer r.Close()
 		segs := r.Segments()
-		if len(segs) != 1 || segs[0].Records != len(recs) || segs[0].Torn || segs[0].Scanned {
+		if len(segs) != 1 || segs[0].Records != len(recs) || segs[0].Torn {
 			t.Fatalf("segments = %+v", segs)
 		}
 		for i, rec := range recs {
@@ -230,38 +231,6 @@ func TestAgeRotation(t *testing.T) {
 	}
 }
 
-// TestRecordCapRotation: small records seal a segment at
-// maxSegmentRecords, long before SegmentBytes, so the writer's
-// in-memory index of the active segment stays bounded; every record
-// still reads back.
-func TestRecordCapRotation(t *testing.T) {
-	p := InMemory()
-	w, err := OpenWriter(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const records = maxSegmentRecords + 10
-	for i := 0; i < records; i++ {
-		if _, err := w.Append(Meta{Kind: KindEvents, Stream: 1, FirstSeq: uint64(i), LastSeq: uint64(i)}, nil, []byte("e")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := w.Stats(); st.Rotations != 1 {
-		t.Fatalf("rotations = %d after %d one-byte records, want 1", st.Rotations, records)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenReader(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if got := len(r.StreamEventLocs(1)); got != records {
-		t.Fatalf("read back %d event records, want %d", got, records)
-	}
-}
-
 func TestStreamBaseAcrossReopen(t *testing.T) {
 	testProviders(t, func(t *testing.T, p Provider) {
 		w, err := OpenWriter(p, Options{})
@@ -308,15 +277,15 @@ func unsealedSegment(t *testing.T, recs []struct {
 		t.Fatal(err)
 	}
 	appendAll(t, w, recs)
-	// No Close: abandon the writer as a crash would. The on-disk file
-	// may extend past the written bytes (fallocate reservation); keep
-	// the logical extent so callers cut at real record boundaries.
-	logical := w.Stats().ActiveBytes
+	// No Close: abandon the writer as a crash would.
 	data, err := os.ReadFile(filepath.Join(dir, segName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data[:logical]
+	if int64(len(data)) != w.Stats().ActiveBytes {
+		t.Fatalf("segment holds %d bytes, writer appended %d", len(data), w.Stats().ActiveBytes)
+	}
+	return data
 }
 
 // reopenSegment plants data as segment 0 in a fresh dir and runs
@@ -341,7 +310,8 @@ func reopenSegment(t *testing.T, data []byte) (*Writer, Provider, string) {
 // TestCrashRecoveryEveryBoundary cuts the unsealed segment at every
 // byte boundary of the last record and asserts recovery lands exactly
 // on the preceding whole-record prefix, stays appendable, and reads
-// back clean.
+// back clean. A cut inside a record is one repaired segment; a cut on a
+// record boundary leaves only whole records and needs no repair.
 func TestCrashRecoveryEveryBoundary(t *testing.T) {
 	recs := []struct {
 		m       Meta
@@ -359,8 +329,12 @@ func TestCrashRecoveryEveryBoundary(t *testing.T) {
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			w, p, _ := reopenSegment(t, data[:cut])
 			rec := w.Recovery()
-			if rec.Repaired != 1 {
-				t.Fatalf("repaired = %d", rec.Repaired)
+			wantRepaired := 1
+			if cut == lastStart {
+				wantRepaired = 0
+			}
+			if rec.Repaired != wantRepaired {
+				t.Fatalf("repaired = %d, want %d", rec.Repaired, wantRepaired)
 			}
 			if want := int64(cut - lastStart); rec.TruncatedBytes != want {
 				t.Fatalf("truncated %d bytes, want %d", rec.TruncatedBytes, want)
@@ -388,9 +362,10 @@ func TestCrashRecoveryEveryBoundary(t *testing.T) {
 		})
 	}
 
-	// The whole file (clean kill between appends): nothing truncated.
+	// The whole file (clean kill between appends): nothing truncated,
+	// nothing repaired.
 	w, _, _ := reopenSegment(t, data)
-	if rec := w.Recovery(); rec.TruncatedBytes != 0 || rec.Repaired != 1 {
+	if rec := w.Recovery(); rec.TruncatedBytes != 0 || rec.Repaired != 0 {
 		t.Fatalf("clean tail recovery = %+v", rec)
 	}
 	w.Close()
@@ -460,8 +435,8 @@ func TestRecoveryRemovesGarbageSegment(t *testing.T) {
 	}
 }
 
-// TestRecoveryAcrossSealedSegments: sealed segments are trusted via
-// their sidecars; only the unsealed tail is scanned.
+// TestRecoveryAcrossSealedSegments: recovery scans the sealed segments
+// and the unsealed tail alike, and every record survives.
 func TestRecoveryAcrossSealedSegments(t *testing.T) {
 	dir := t.TempDir()
 	p, err := OpenDir(dir)
@@ -586,10 +561,12 @@ func TestSegmentRecycling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload := bytes.Repeat([]byte("r"), 100)
+		// Payload sizes vary, so segments do too, and a recycled file
+		// usually outlives its new incarnation's records.
+		payload := func(stream uint64) []byte { return bytes.Repeat([]byte("r"), 60+int(stream%5)*20) }
 		for i := 0; i < 40; i++ {
 			m := Meta{Kind: KindEvents, Stream: uint64(i), FirstSeq: 1, LastSeq: 1}
-			if _, err := w.Append(m, nil, payload); err != nil {
+			if _, err := w.Append(m, nil, payload(m.Stream)); err != nil {
 				t.Fatalf("append %d: %v", i, err)
 			}
 		}
@@ -610,6 +587,9 @@ func TestSegmentRecycling(t *testing.T) {
 			if _, ok := parseRecycleName(n); ok {
 				parked++
 			}
+			if strings.HasSuffix(n, ".idx") {
+				t.Fatalf("journal wrote an index file %s", n)
+			}
 		}
 		if parked == 0 || parked > DefaultRecycleSegments {
 			t.Fatalf("parked %d recycle files after close, want 1..%d (names %v)", parked, DefaultRecycleSegments, names)
@@ -629,11 +609,23 @@ func TestSegmentRecycling(t *testing.T) {
 		if last.Stream != 39 || last.Events != 1 {
 			t.Fatalf("newest stream = %+v", last)
 		}
+		// A clean Close leaves every segment exactly its records long:
+		// sealing trimmed each recycled file's stale tail, so nothing
+		// scans torn.
+		for _, si := range r.Segments() {
+			size, err := p.Size(segName(si.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if si.Torn || size != si.Size {
+				t.Fatalf("segment %d: %d bytes on file, %d scanned, torn=%v", si.ID, size, si.Size, si.Torn)
+			}
+		}
 		for _, s := range r.segs {
 			for _, e := range s.entries {
 				if _, got, err := r.readEntry(r.bySeg[s.info.ID], e); err != nil {
 					t.Fatalf("seg %d off %d: %v", s.info.ID, e.Offset, err)
-				} else if !bytes.Equal(got, payload) {
+				} else if !bytes.Equal(got, payload(e.Stream)) {
 					t.Fatalf("seg %d off %d: payload corrupted", s.info.ID, e.Offset)
 				}
 			}
@@ -647,6 +639,9 @@ func TestSegmentRecycling(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w2.Close()
+		if rec := w2.Recovery(); rec != (RecoveryInfo{Segments: rec.Segments}) {
+			t.Fatalf("reopen after a clean close repaired something: %+v", rec)
+		}
 		if got := w2.Stats().RecycledSegments; got == 0 {
 			t.Fatal("restarted writer did not adopt parked recycle files")
 		}
@@ -742,11 +737,11 @@ func TestRecycledStaleTailRejected(t *testing.T) {
 	})
 }
 
-// TestCrashRecoveryFallocatedZeroTail is the crash image an mmap-backed
-// segment leaves behind: the file extends to its fallocated reservation,
-// so the written records are followed by a run of zero pages. Recovery
-// must truncate the whole zero tail and keep every record.
-func TestCrashRecoveryFallocatedZeroTail(t *testing.T) {
+// TestCrashRecoveryZeroTail is the crash image a power cut can leave
+// when a file's new size reached the disk before its data did: the
+// written records are followed by a run of zero pages. Recovery must
+// truncate the whole zero tail and keep every record.
+func TestCrashRecoveryZeroTail(t *testing.T) {
 	recs := []struct {
 		m       Meta
 		payload string
@@ -772,4 +767,162 @@ func TestCrashRecoveryFallocatedZeroTail(t *testing.T) {
 	if err != nil || string(got) != "hello"+"events" {
 		t.Fatalf("stream 1 = %q (err %v)", got, err)
 	}
+}
+
+// opLog wraps a Provider and records its namespace operations and
+// directory syncs, interleaved with the test's own markers, in order.
+type opLog struct {
+	Provider
+	ops []string
+}
+
+func (l *opLog) mark(s string) { l.ops = append(l.ops, s) }
+
+func (l *opLog) Create(name string) (WriteFile, error) {
+	l.mark("create " + name)
+	return l.Provider.Create(name)
+}
+
+func (l *opLog) Rename(old, new string) error {
+	l.mark("rename " + old + " " + new)
+	return l.Provider.Rename(old, new)
+}
+
+func (l *opLog) Remove(name string) error {
+	l.mark("remove " + name)
+	return l.Provider.Remove(name)
+}
+
+func (l *opLog) SyncDir() error {
+	l.mark("syncdir")
+	return l.Provider.SyncDir()
+}
+
+// TestNamespaceChangesSynced: every create, rename and remove the
+// journal makes is followed by a directory sync before the next record
+// is appended and before OpenWriter or Close returns — a namespace
+// change not yet synced can vanish in a power cut. The first writer
+// keeps every segment; the second, under RetainSegments 1, parks two
+// of them, removes the rest, unparks on later rotations, and removes
+// its empty active segment at Close.
+func TestNamespaceChangesSynced(t *testing.T) {
+	log := &opLog{Provider: InMemory()}
+	payload := bytes.Repeat([]byte("n"), 100)
+	stream := uint64(0)
+	run := func(opts Options, appends int, endOnRotation bool) {
+		w, err := OpenWriter(log, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.mark("open returned")
+		for i := 0; i < appends || (endOnRotation && w.Stats().ActiveBytes != segHeaderSize); i++ {
+			log.mark("append")
+			stream++
+			if _, err := w.Append(Meta{Kind: KindEvents, Stream: stream}, nil, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		log.mark("close returned")
+	}
+	run(Options{SegmentBytes: 256}, 12, false)
+	run(Options{SegmentBytes: 256, RetainSegments: 1}, 12, true)
+
+	seen := map[string]bool{}
+	pending := ""
+	for _, op := range log.ops {
+		verb, _, _ := strings.Cut(op, " ")
+		switch {
+		case op == "syncdir":
+			pending = ""
+		case verb == "create" || verb == "rename" || verb == "remove":
+			if verb == "rename" && strings.HasPrefix(op, "rename recycle-") {
+				verb = "unpark"
+			}
+			seen[verb] = true
+			pending = op
+		case pending != "":
+			t.Fatalf("%q not followed by a directory sync before %q; log:\n%s", pending, op, strings.Join(log.ops, "\n"))
+		}
+	}
+	for _, verb := range []string{"create", "rename", "unpark", "remove"} {
+		if !seen[verb] {
+			t.Fatalf("scenario made no %s; log:\n%s", verb, strings.Join(log.ops, "\n"))
+		}
+	}
+}
+
+// TestOpenJournalWithLeftoverSidecars opens a journal an older build
+// wrote — two sealed segments, each with its JSON index sidecar
+// (testdata/sidecar-journal). The reader indexes it by scanning; the
+// writer removes the sidecars; the stream reads back the same bytes
+// before and after.
+func TestOpenJournalWithLeftoverSidecars(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join("testdata", "sidecar-journal")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "hello-1" + "events-1a" + "events-1b" + "bye-1"
+	replay := func() {
+		t.Helper()
+		r, err := OpenReader(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for _, si := range r.Segments() {
+			if si.Torn {
+				t.Fatalf("segment %d scans torn: %+v", si.ID, si)
+			}
+		}
+		got, err := io.ReadAll(r.StreamReader(1))
+		if err != nil || string(got) != want {
+			t.Fatalf("stream 1 = %q (err %v), want %q", got, err, want)
+		}
+		if sample, _, ok := r.Result(1); !ok || string(sample) != `{"workload":"q"}` {
+			t.Fatalf("Result(1) = %q %v", sample, ok)
+		}
+	}
+	replay()
+
+	w, err := OpenWriter(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := w.Recovery(); rec != (RecoveryInfo{Segments: 2}) {
+		t.Fatalf("recovery = %+v, want two clean segments", rec)
+	}
+	if w.StreamBase() != 2 {
+		t.Fatalf("StreamBase = %d, want 2", w.StreamBase())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	names, err := p.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range names {
+		if strings.HasSuffix(n, ".idx") {
+			t.Fatalf("leftover sidecar %s survived OpenWriter (names %v)", n, names)
+		}
+	}
+	replay()
 }

@@ -6,7 +6,7 @@ package journal
 // production and over in-memory buffers in tests — the provider split
 // voedger's istorage takes, reduced to what an append-only segment store
 // actually needs (create, open, list, remove, truncate, rename,
-// recycle).
+// recycle, directory sync).
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -27,15 +28,6 @@ type WriteFile interface {
 	Sync() error
 
 	io.Closer
-}
-
-// DirectWriter is an optional WriteFile refinement. Reporting true
-// means Write is a user-space copy (into a memory-mapped segment), so
-// the journal writer sends records straight through instead of
-// batching them in its append buffer — batching exists to amortize
-// write syscalls, and a mapped file has none to amortize.
-type DirectWriter interface {
-	DirectWrite() bool
 }
 
 // ReadFile is an open segment being read. ReaderAt supports the
@@ -70,8 +62,8 @@ type Provider interface {
 	// Remove deletes a blob. Removing a missing blob is an error.
 	Remove(name string) error
 
-	// Truncate cuts a blob to size bytes — the recovery path's torn-tail
-	// repair.
+	// Truncate cuts a blob to size bytes: recovery's torn-tail repair,
+	// and the seal-time trim of a recycled segment's stale tail.
 	Truncate(name string, size int64) error
 
 	// Rename moves a blob to a new name, replacing any blob already
@@ -83,34 +75,24 @@ type Provider interface {
 	// without releasing its storage: new bytes overwrite old in place,
 	// and the old tail survives past the write point until truncated.
 	// Rotation uses it to reuse a retired segment's already-allocated
-	// pages — first-touch page allocation in the kernel is the dominant
-	// cost of growing a fresh segment file — instead of paying that
-	// allocation again. Record checksums are seeded per segment
-	// incarnation, so the stale tail can never scan as valid.
+	// blocks instead of growing a fresh file. Record checksums are
+	// seeded per segment incarnation, so the stale tail can never scan
+	// as valid.
 	Recycle(name string) (WriteFile, error)
+
+	// SyncDir makes the namespace operations before it (create, rename,
+	// remove) durable: fsync of the directory for files, a no-op for
+	// memory.
+	SyncDir() error
 }
 
 // --- file provider ---
 
-// fileProvider stores blobs as files in one directory. On linux,
-// segment writes go through pooled shared memory maps (see
-// provider_linux.go): appending is a user-space memcpy into
-// fallocate-reserved pages rather than a write syscall's kernel copy,
-// and a recycled segment keeps its mapping — and therefore its hot
-// pages — across incarnations. Elsewhere, plain buffered writes.
+// fileProvider stores blobs as plain files in one directory, written
+// through the journal writer's append buffer.
 type fileProvider struct {
 	dir string
-
-	// poolMu guards pool: segment files kept open and mapped after
-	// Close so Recycle can hand the next incarnation a live mapping.
-	poolMu sync.Mutex
-	pool   map[string]*mmapFile
 }
-
-// poolCap bounds how many closed segment files stay open and mapped
-// awaiting recycling — the writer's freelist plus the final sealed
-// segment is the working set.
-const poolCap = 4
 
 // OpenDir returns a Provider over files in dir, creating it if needed.
 func OpenDir(dir string) (Provider, error) {
@@ -136,6 +118,10 @@ func (p *fileProvider) List() ([]string, error) {
 	return names, nil
 }
 
+func (p *fileProvider) Create(name string) (WriteFile, error) {
+	return os.OpenFile(filepath.Join(p.dir, name), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+}
+
 func (p *fileProvider) Open(name string) (ReadFile, error) {
 	return os.Open(filepath.Join(p.dir, name))
 }
@@ -149,21 +135,36 @@ func (p *fileProvider) Size(name string) (int64, error) {
 }
 
 func (p *fileProvider) Remove(name string) error {
-	p.evict(name)
 	return os.Remove(filepath.Join(p.dir, name))
 }
 
 func (p *fileProvider) Truncate(name string, size int64) error {
-	p.evict(name)
 	return os.Truncate(filepath.Join(p.dir, name), size)
 }
 
 func (p *fileProvider) Rename(old, new string) error {
-	if err := os.Rename(filepath.Join(p.dir, old), filepath.Join(p.dir, new)); err != nil {
+	return os.Rename(filepath.Join(p.dir, old), filepath.Join(p.dir, new))
+}
+
+func (p *fileProvider) Recycle(name string) (WriteFile, error) {
+	return os.OpenFile(filepath.Join(p.dir, name), os.O_WRONLY, 0o644)
+}
+
+func (p *fileProvider) SyncDir() error {
+	if runtime.GOOS == "windows" {
+		// Windows cannot flush a directory handle; NTFS journals its
+		// namespace changes itself.
+		return nil
+	}
+	d, err := os.Open(p.dir)
+	if err != nil {
 		return err
 	}
-	p.renamePooled(old, new)
-	return nil
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // --- memory provider ---
@@ -272,6 +273,8 @@ func (p *memProvider) Recycle(name string) (WriteFile, error) {
 	// scan gets exercised against the memory provider too.
 	return &memWriteFile{p: p, b: b}, nil
 }
+
+func (p *memProvider) SyncDir() error { return nil }
 
 type memWriteFile struct {
 	p   *memProvider

@@ -10,12 +10,10 @@ import (
 // SegmentInfo describes one segment to tools and /statusz.
 type SegmentInfo struct {
 	ID              uint64 `json:"id"`
-	Size            int64  `json:"size"`
+	Size            int64  `json:"size"` // bytes up to the end of the last whole record
 	Records         int    `json:"records"`
 	CreatedUnixNano int64  `json:"created_unix_nano"`
-	SealedUnixNano  int64  `json:"sealed_unix_nano,omitempty"`
-	Scanned         bool   `json:"scanned,omitempty"` // sidecar missing; index rebuilt by scan
-	Torn            bool   `json:"torn,omitempty"`    // scan stopped at a damaged tail
+	Torn            bool   `json:"torn,omitempty"` // scan stopped at a damaged tail
 }
 
 // StreamInfo aggregates one stream's records across segments.
@@ -48,10 +46,9 @@ type Reader struct {
 	bySeg map[uint64]int
 }
 
-// OpenReader loads every segment's index (from the sidecar when
-// present, by scanning otherwise) and returns a Reader positioned over
-// the whole journal. Damaged tails are tolerated: the good prefix of
-// every segment is served.
+// OpenReader builds every segment's index by scanning it and returns a
+// Reader positioned over the whole journal. Damaged tails are
+// tolerated: the good prefix of every segment is served.
 func OpenReader(p Provider) (*Reader, error) {
 	names, err := p.List()
 	if err != nil {
@@ -80,36 +77,9 @@ func OpenReader(p Provider) (*Reader, error) {
 	return r, nil
 }
 
-// loadSegment builds one segment's in-memory index. Returns nil (no
-// error) when the segment header itself is unreadable.
+// loadSegment scans one segment into its in-memory index. Returns nil
+// (no error) when the segment header itself is unreadable.
 func loadSegment(p Provider, id uint64) (*readerSeg, error) {
-	if idx, err := loadIndex(p, id); err == nil {
-		size := idx.Size
-		if actual, err := p.Size(segName(id)); err == nil && actual < size {
-			size = actual
-		}
-		info := SegmentInfo{
-			ID: id, Size: size, Records: len(idx.Entries),
-			CreatedUnixNano: idx.CreatedUnixNano, SealedUnixNano: idx.SealedUnixNano,
-		}
-		// A shrunk sealed segment (partial copy) drops entries past the
-		// new end.
-		ents := idx.Entries
-		for len(ents) > 0 {
-			last := ents[len(ents)-1]
-			if last.Offset+last.Len <= size {
-				break
-			}
-			ents = ents[:len(ents)-1]
-			info.Torn = true
-			info.Records = len(ents)
-		}
-		return &readerSeg{
-			info: info, entries: ents,
-			seed: segSeed(id, idx.CreatedUnixNano),
-		}, nil
-	}
-
 	f, err := p.Open(segName(id))
 	if err != nil {
 		return nil, fmt.Errorf("journal: open %s: %w", segName(id), err)
@@ -122,7 +92,7 @@ func loadSegment(p Provider, id uint64) (*readerSeg, error) {
 	return &readerSeg{
 		info: SegmentInfo{
 			ID: id, Size: sc.goodBytes, Records: len(sc.entries),
-			CreatedUnixNano: sc.created, Scanned: true, Torn: sc.torn,
+			CreatedUnixNano: sc.created, Torn: sc.torn,
 		},
 		entries: sc.entries,
 		seed:    segSeed(id, sc.created),

@@ -59,8 +59,11 @@ type ReplayOptions struct {
 	// programs diverge.
 	Scale int
 
-	// EmbedProgram ships the program image in the handshake, for
-	// servers that do not hold this workload in their registry.
+	// EmbedProgram ships the program image (and its memory size) in the
+	// handshake alongside the workload name. The name still goes first:
+	// a server that holds the workload in its registry serves that and
+	// ignores the image; only one that does not know the name serves
+	// from the image.
 	EmbedProgram bool
 
 	// Timestamps negotiates wire-to-verdict latency tracing: every

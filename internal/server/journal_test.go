@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"net"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -115,8 +118,9 @@ func TestJournaledServeThenReplayVerify(t *testing.T) {
 }
 
 // TestReplayAcrossRestart simulates the SIGKILL drill in-process: serve
-// half the load into a journal, abandon the writer without Close (the
-// crash), reopen the journal (recovery), serve the rest with the
+// half the load into a journal, abandon the writer without Close and
+// leave half a record at the end of the last segment (the crash),
+// reopen the journal (recovery truncates it), serve the rest with the
 // recovered StreamBase, then verify the combined capture end to end.
 func TestReplayAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -136,7 +140,24 @@ func TestReplayAcrossRestart(t *testing.T) {
 		{"queue-fixed", 3},
 	})
 	// Crash: no jw.Close(). FsyncInterval < 0 means every append hit
-	// the file, as a SIGKILL after the last batch would leave it.
+	// the file, as a SIGKILL after the last batch would leave it; the
+	// SIGKILL landed mid-write, so the last segment ends in a partial
+	// record.
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.svdj"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments in %s (%v)", dir, err)
+	}
+	sort.Strings(segs)
+	last, err := os.OpenFile(segs[len(segs)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := last.Write([]byte("torn record header")); err != nil {
+		t.Fatal(err)
+	}
+	if err := last.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	jw2, err := journal.OpenWriter(p, journal.Options{})
 	if err != nil {
@@ -145,8 +166,8 @@ func TestReplayAcrossRestart(t *testing.T) {
 	if jw2.StreamBase() < 2 {
 		t.Fatalf("StreamBase after recovery = %d, want >= 2", jw2.StreamBase())
 	}
-	if rec := jw2.Recovery(); rec.Repaired == 0 {
-		t.Fatalf("recovery repaired nothing: %+v", rec)
+	if rec := jw2.Recovery(); rec.Repaired != 1 || rec.TruncatedBytes != int64(len("torn record header")) {
+		t.Fatalf("recovery did not cut the torn record: %+v", rec)
 	}
 	serveJournaled(t, jw2, []struct {
 		name string

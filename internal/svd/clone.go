@@ -40,7 +40,7 @@ func (d *Detector) Clone() *Detector {
 		}
 	}
 	if d.ix != nil {
-		nd.ix = blockstore.NewInterest(blockstore.Options{Sparse: nd.opts.SparseBlockTable})
+		nd.ix = blockstore.NewInterest(blockstore.Options{})
 	}
 
 	cuMap := make(map[*cu]*cu)
@@ -76,7 +76,7 @@ func (d *Detector) Clone() *Detector {
 		nt := &threadState{
 			d:       nd,
 			id:      t.id,
-			blocks:  blockstore.New[blockState](blockstore.Options{Sparse: nd.opts.SparseBlockTable}),
+			blocks:  blockstore.New[blockState](blockstore.Options{}),
 			nblocks: t.nblocks,
 			depth:   t.depth,
 		}

@@ -75,11 +75,6 @@ type Options struct {
 	// means 1 << 16.
 	MaxLogEntries int
 
-	// SparseBlockTable keeps per-thread block metadata in hash maps
-	// instead of the paged flat store — the escape hatch for pathological
-	// sparse address spaces where dense pages would waste memory.
-	SparseBlockTable bool
-
 	// NoCUArena disables computational-unit recycling: every unit is a
 	// fresh allocation, as in the original implementation. Debug and
 	// differential-testing knob.
@@ -414,14 +409,14 @@ func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
 		logSeen: make(map[logKey]int),
 	}
 	if !d.opts.NoInterestIndex {
-		d.ix = blockstore.NewInterest(blockstore.Options{Sparse: d.opts.SparseBlockTable})
+		d.ix = blockstore.NewInterest(blockstore.Options{})
 	}
 	d.threads = make([]*threadState, numCPUs)
 	for i := range d.threads {
 		d.threads[i] = &threadState{
 			d:      d,
 			id:     i,
-			blocks: blockstore.New[blockState](blockstore.Options{Sparse: d.opts.SparseBlockTable}),
+			blocks: blockstore.New[blockState](blockstore.Options{}),
 		}
 		if d.opts.Witness {
 			d.threads[i].ring = obs.NewAccessRing(d.opts.WitnessRing)
@@ -690,8 +685,8 @@ func (t *threadState) lookupBlock(b int64) *blockState {
 }
 
 // evictBlock drops the thread's state for a block entirely (hardware-mode
-// cache eviction). Delete zeroes (dense) or unboxes (sparse) the slot, so
-// any cache entry naming the block must die with it.
+// cache eviction). Delete zeroes (dense) or unboxes (overflow) the slot,
+// so any cache entry naming the block must die with it.
 func (t *threadState) evictBlock(b int64) {
 	bs := t.lookupBlock(b)
 	if bs == nil {

@@ -339,11 +339,10 @@ func BenchmarkServerIngestLocality(b *testing.B) {
 // journaled violations. The bench-guard baseline bounds the whole
 // journaled hop relative to the steady benchmark and pins the same
 // zero allocs/op ceiling: durability must come from buffer reuse, not
-// allocation. The relative bound is 10%, not the 5% a multi-core host
-// can hold: this CI host has one CPU, so the journal's checksum and
-// copy (~0.25 ns per journaled byte, ~430 KB per op) cannot overlap
-// ingest — the async flush pipeline that absorbs them needs a second
-// core to run on. See DESIGN.md §14.
+// allocation. The relative bound is 10%. Each op journals 68 Events
+// frames, about 52 KB; the producer pays their checksum and the copy
+// into the append buffer, and the write into the segment file runs on
+// the flusher goroutine. See DESIGN.md §14.6.
 func BenchmarkServerIngestJournaled(b *testing.B) {
 	w, batches, events := recordColumns(b, "queue-fixed", 1)
 	h := wire.Hello{Version: wire.Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: 1}
@@ -384,11 +383,9 @@ func BenchmarkServerIngestJournaled(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Production shape: segments rotate, retention compacts, and retired
-	// files are recycled in place. Recycling is what keeps the steady
-	// state fast here — a fresh segment pays first-touch page allocation
-	// in the kernel for every written page, and on one CPU that cost
-	// lands entirely on the producer. Rotation's allocations (sidecar
-	// encode, file ops) amortize to well under one per op across the ~46
+	// files are recycled in place, which writes into already-allocated
+	// pages instead of a fresh file's. Rotation's allocations (file
+	// opens, renames) amortize to well under one per op across the ~640
 	// ops each 32 MiB segment holds, so the zero allocs/op ceiling still
 	// binds.
 	jw, err := journal.OpenWriter(prov, journal.Options{
