@@ -1,6 +1,6 @@
 # Developer entry points. `make check` is the tier-1 gate (build + tests);
-# `make race` adds the data-race check on the parallel sample runner and
-# the detection service's loopback differential; `make cover` enforces
+# `make race` adds the data-race check on the parallel sample runner,
+# the detection service's loopback differential and detector reuse; `make cover` enforces
 # the coverage floor; `make bench-smoke` runs each hot-path
 # microbenchmark once as a compile-and-run sanity check (use `make
 # bench` for real numbers); `make fuzz-smoke` gives the wire decoder's
@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster|TestDigest|TestReportMerged' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/
+	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster|TestDigest|TestReportMerged|TestReset|TestShardReusesDetectors|TestSprayedStreamNotRetained|TestReusedStoreGauges|TestHostileScaleRefused|TestClearKeepsPagesZeroed|TestWindowMatchesReference' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/ ./internal/blockstore/
 
 vet:
 	$(GO) vet ./...
@@ -82,6 +82,9 @@ BENCH_GUARD_INGEST = $(GO) test -run NONE -bench 'BenchmarkServerIngest$$' -benc
 # give every benchmark samples from two time windows, and min-picking
 # pairs each benchmark's quietest window against the others'.
 BENCH_GUARD_STEADY = $(GO) test -run NONE -bench 'BenchmarkServerIngest(Steady|Telemetry|Locality|Journaled)$$' -benchtime 50x -count 3 -benchmem .
+# One op is a whole short stream (open, replay, close) on a warm engine:
+# its allocs/op ceiling guards per-stream setup and teardown garbage.
+BENCH_GUARD_STREAM = $(GO) test -run NONE -bench 'BenchmarkServerStream$$' -benchtime 20x -count 3 -benchmem .
 
 # Up to three attempts: benchguard's calibration probe absorbs
 # SUSTAINED host slowness (a slow runner scales the absolute and
@@ -91,14 +94,14 @@ BENCH_GUARD_STEADY = $(GO) test -run NONE -bench 'BenchmarkServerIngest(Steady|T
 # all three attempts; a burst passes on a quieter retry.
 bench-guard:
 	@for i in 1 2 3; do \
-		if { $(BENCH_GUARD); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); } | $(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json; then \
+		if { $(BENCH_GUARD); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STREAM); } | $(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json; then \
 			exit 0; \
 		fi; \
 		echo "bench-guard: attempt $$i failed"; \
 	done; echo "bench-guard: regression persisted across 3 attempts"; exit 1
 
 bench-baseline:
-	{ $(BENCH_GUARD); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); } | $(GO) run ./cmd/benchguard -record -baseline BENCH_BASELINE.json
+	{ $(BENCH_GUARD); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STREAM); } | $(GO) run ./cmd/benchguard -record -baseline BENCH_BASELINE.json
 
 # CPU profile of the single-thread SVD hot path, at the same op count
 # the guard uses. CI runs this next to bench-guard and uploads the

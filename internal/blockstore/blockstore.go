@@ -13,7 +13,14 @@
 //
 // Block numbers outside the dense range (negative, or beyond MaxPages
 // pages) transparently overflow into a map.
+//
+// A store outlives one run: Clear empties it for the next while keeping
+// the pages it materialized, zeroed, for Ensure to hand out again, so a
+// detector reused across streams stops allocating (and collecting) its
+// block tables once warm.
 package blockstore
+
+import "unsafe"
 
 // DefaultPageShift sizes pages at 1<<9 = 512 entries: small enough that a
 // thread touching one hot region does not commit megabytes, large enough
@@ -44,6 +51,10 @@ type Store[T any] struct {
 	maxPages  int
 	pages     [][]T
 	overflow  map[int64]*T
+
+	// spare holds zeroed pages detached by Clear; ensureSlow takes from
+	// it before allocating.
+	spare [][]T
 }
 
 // New builds an empty store.
@@ -107,7 +118,7 @@ func (s *Store[T]) ensureSlow(b int64) *T {
 				s.pages = grown
 			}
 			if s.pages[pi] == nil {
-				s.pages[pi] = make([]T, 1<<s.pageShift)
+				s.pages[pi] = s.newPage()
 			}
 			return &s.pages[pi][b&s.mask]
 		}
@@ -121,6 +132,17 @@ func (s *Store[T]) ensureSlow(b int64) *T {
 		s.overflow[b] = v
 	}
 	return v
+}
+
+// newPage returns a zeroed page: a spare one when Clear left any.
+func (s *Store[T]) newPage() []T {
+	if n := len(s.spare); n > 0 {
+		p := s.spare[n-1]
+		s.spare[n-1] = nil
+		s.spare = s.spare[:n-1]
+		return p
+	}
+	return make([]T, 1<<s.pageShift)
 }
 
 // Delete clears block b's slot back to the zero T (dense) or removes its
@@ -168,6 +190,39 @@ func (s *Store[T]) Range(f func(b int64, v *T) bool) {
 func (s *Store[T]) Reset() {
 	s.pages = nil
 	s.overflow = nil
+	s.spare = nil
+}
+
+// Clear empties the store like Reset but keeps its pages: each
+// materialized page is zeroed and detached, so Lookup answers nil for
+// every block again and PageStats counts only what is materialized
+// after the clear, while Ensure reuses the detached pages before it
+// allocates. Only pages materialized since the last Clear are zeroed.
+// Overflow entries are dropped.
+func (s *Store[T]) Clear() {
+	for pi, p := range s.pages {
+		if p != nil {
+			clear(p)
+			s.spare = append(s.spare, p)
+			s.pages[pi] = nil
+		}
+	}
+	s.overflow = nil
+}
+
+// heldPages reports the dense pages the store holds: materialized ones
+// plus the spares Clear kept for reuse.
+func (s *Store[T]) heldPages() int {
+	_, pages, _ := s.PageStats()
+	return pages + len(s.spare)
+}
+
+// HeldBytes reports the memory of the dense pages the store holds —
+// materialized ones plus the spares Clear kept for reuse — page table
+// and overflow entries aside.
+func (s *Store[T]) HeldBytes() int {
+	var zero T
+	return s.heldPages() << s.pageShift * int(unsafe.Sizeof(zero))
 }
 
 // Slots reports the number of materialized slots (dense page entries plus

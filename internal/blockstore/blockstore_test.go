@@ -2,6 +2,7 @@ package blockstore
 
 import (
 	"testing"
+	"unsafe"
 )
 
 type meta struct {
@@ -119,5 +120,52 @@ func TestMaxPagesOverflow(t *testing.T) {
 	}
 	if got := s.Slots(); got != 16+1 {
 		t.Fatalf("Slots = %d, want 17", got)
+	}
+}
+
+// TestClearKeepsPagesZeroed: after Clear no block is materialized, the
+// pages come back zeroed and are reused instead of allocated, and a
+// second round leaves the same state a fresh store would.
+func TestClearKeepsPagesZeroed(t *testing.T) {
+	s := New[meta](Options{PageShift: 4})
+	for _, b := range []int64{0, 5, 40, 1000, -3} {
+		v := s.Ensure(b)
+		v.touched, v.n = true, int(b)+7
+	}
+	held := s.heldPages()
+	if held != 3 {
+		t.Fatalf("heldPages = %d, want 3", held)
+	}
+	s.Clear()
+	for b := int64(-8); b < 1100; b++ {
+		if v := s.Lookup(b); v != nil {
+			t.Fatalf("Lookup(%d) after Clear = %+v, want nil", b, v)
+		}
+	}
+	if slots, pages, overflow := s.PageStats(); slots != 0 || pages != 0 || overflow != 0 {
+		t.Fatalf("PageStats after Clear = (%d, %d, %d), want zeros", slots, pages, overflow)
+	}
+	if got := s.heldPages(); got != held {
+		t.Fatalf("heldPages after Clear = %d, want %d kept", got, held)
+	}
+	// Materialize different pages: every slot they expose is zero, and
+	// the spares are used up before anything new is allocated.
+	for _, b := range []int64{300, 700, 2000} {
+		s.Ensure(b)
+	}
+	s.Range(func(b int64, v *meta) bool {
+		if *v != (meta{}) {
+			t.Errorf("slot %d after Clear = %+v, want zero", b, *v)
+		}
+		return true
+	})
+	if got := s.heldPages(); got != held {
+		t.Fatalf("heldPages after reuse = %d, want %d (spares reused)", got, held)
+	}
+	if got, want := s.HeldBytes(), held*16*int(unsafe.Sizeof(meta{})); got != want {
+		t.Fatalf("HeldBytes = %d, want %d", got, want)
+	}
+	if s.Lookup(0) != nil || s.Lookup(-3) != nil {
+		t.Fatal("cleared blocks reappeared")
 	}
 }

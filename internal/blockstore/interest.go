@@ -142,6 +142,17 @@ func (ix *Interest) Remove(b int64, tid int) {
 	}
 }
 
+// Clear drops every membership, keeping the index's pages for reuse
+// (Store.Clear). The generation advances, never rewinds, so a set cached
+// before the clear can never pass for a current one.
+func (ix *Interest) Clear() {
+	ix.gen++
+	ix.store.Clear()
+}
+
+// HeldBytes reports the memory the index's pages hold, spares included.
+func (ix *Interest) HeldBytes() int { return ix.store.HeldBytes() }
+
 // Gen returns the mutation generation. Any Add or Remove changes it, so
 // equal generations bracket an interval over which every cached Get
 // result is still exact.

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	mathbits "math/bits"
 	"sort"
+	"unsafe"
 
 	"repro/internal/blockstore"
 	"repro/internal/isa"
@@ -192,6 +193,12 @@ type Detector struct {
 	vc     []vclock
 	blocks *blockstore.Store[blockInfo]
 
+	// Read-epoch arena: each block's reads vector is carved from a chunk
+	// of readsChunk vectors, and Reset carves the same chunks again.
+	epochs  []epoch   // uncarved rest of the current chunk
+	echunks [][]epoch // chunks carved since New
+	nechunk int       // chunks of echunks carved since the last Reset
+
 	// rings are the per-thread flight-recorder buffers; nil unless
 	// Options.Witness.
 	rings []*obs.AccessRing
@@ -204,9 +211,8 @@ type Detector struct {
 
 	// MRU cache over blockInfo: the last two blocks' resolved slots, so
 	// the block-local access runs the detectors' workloads exhibit skip
-	// the page (or map) lookup and the lazy reads check. No invalidation
-	// is needed — FRD never deletes block slots, and Reset rebuilds the
-	// whole detector. Scalar fields (not a [2]-array) keep the hit path
+	// the page (or map) lookup and the lazy reads check. Only Reset
+	// invalidates it — FRD never deletes block slots. Scalar fields (not a [2]-array) keep the hit path
 	// within the inliner's budget, as in svd.threadState.
 	cb0, cb1   int64
 	cbp0, cbp1 *blockInfo
@@ -238,19 +244,69 @@ func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
 			d.rings[i] = obs.NewAccessRing(d.opts.WitnessRing)
 		}
 	}
-	for _, b := range opts.SyncBlocks {
-		d.blockInfo(b >> opts.BlockShift).isSync = true
-	}
+	d.annotateSync()
 	return d
 }
 
-// Reset discards all detector state.
-func (d *Detector) Reset() {
-	*d = *New(d.prog, d.numCPUs, d.opts)
+// annotateSync marks the Options.SyncBlocks annotations.
+func (d *Detector) annotateSync() {
+	for _, b := range d.opts.SyncBlocks {
+		d.blockInfo(b >> d.opts.BlockShift).isSync = true
+	}
 }
 
-// Races returns retained dynamic race records.
-func (d *Detector) Races() []Race { return d.races }
+// Reset discards all detector state; afterwards the detector behaves
+// exactly like New with the same program, thread count and options. It
+// clears in place, as svd.Detector.Reset does: block pages are zeroed
+// and kept, vector clocks and rings rewind, and the witness groups and
+// AllWitnesses slices are dropped, never reused, because samples and
+// journal anchors may still hold them; the storage behind Races is
+// reused.
+func (d *Detector) Reset() {
+	for i, vc := range d.vc {
+		clear(vc)
+		vc[i] = 1
+	}
+	d.blocks.Clear()
+	for _, c := range d.echunks[:d.nechunk] {
+		clear(c)
+	}
+	d.epochs, d.nechunk = nil, 0
+	d.cb0, d.cb1, d.cbp0, d.cbp1 = 0, 0, nil, nil
+	for _, r := range d.rings {
+		r.Reset()
+	}
+	d.races = d.races[:0]
+	d.groups = obs.GroupSet{}
+	d.all = nil
+	clear(d.sites)
+	d.stats = Stats{}
+	d.batchErr = nil
+	d.annotateSync()
+}
+
+// SetRecorder attaches rec as the telemetry recorder, as
+// Options.Recorder does at New; nil detaches it. Call it between runs
+// only, on a new or just-reset detector.
+func (d *Detector) SetRecorder(rec *obs.Recorder) {
+	d.rec = rec
+	d.opts.Recorder = rec
+}
+
+// Retained reports the bytes the detector keeps across Reset for its
+// next run: block pages (spares included) and the read-epoch arena.
+func (d *Detector) Retained() int {
+	return d.blocks.HeldBytes() + len(d.echunks)*readsChunk*d.numCPUs*int(unsafe.Sizeof(epoch{}))
+}
+
+// Races returns retained dynamic race records; nil when there are none.
+// The slice is valid until the next Reset.
+func (d *Detector) Races() []Race {
+	if len(d.races) == 0 {
+		return nil
+	}
+	return d.races
+}
 
 // WitnessGroups returns the race witness groups, one per site pair
 // (second PC, first PC) in first-seen order, each with its exact count
@@ -296,9 +352,29 @@ func (d *Detector) blockInfo(b int64) *blockInfo {
 	if bi.reads == nil {
 		// Flat pages materialize zero-valued slots; the per-CPU read
 		// epochs are attached on a block's first real access.
-		bi.reads = make([]epoch, d.numCPUs)
+		bi.reads = d.newReads()
 	}
 	return bi
+}
+
+// readsChunk is the number of per-block read-epoch vectors one arena
+// chunk holds.
+const readsChunk = 64
+
+// newReads carves one zeroed numCPUs-epoch vector from the arena.
+func (d *Detector) newReads() []epoch {
+	if len(d.epochs) < d.numCPUs {
+		if d.nechunk < len(d.echunks) {
+			d.epochs = d.echunks[d.nechunk]
+		} else {
+			d.epochs = make([]epoch, readsChunk*d.numCPUs)
+			d.echunks = append(d.echunks, d.epochs)
+		}
+		d.nechunk++
+	}
+	r := d.epochs[:d.numCPUs:d.numCPUs]
+	d.epochs = d.epochs[d.numCPUs:]
+	return r
 }
 
 // blockInfoCached resolves a block through the MRU cache; the repeat-
@@ -547,27 +623,15 @@ func (d *Detector) buildWitness(r Race) obs.Witness {
 			Seq:   r.FirstSeq,
 		},
 	}
-	local := d.rings[r.SecondCPU].Snapshot(r.SecondSeq, nil)
-	var remote []obs.WitnessAccess
+	var remote *obs.AccessRing
 	if r.FirstCPU != r.SecondCPU {
-		remote = d.rings[r.FirstCPU].Snapshot(r.SecondSeq, nil)
+		remote = d.rings[r.FirstCPU]
 	}
-	win := obs.MergeWindow(local, remote, d.opts.WitnessRing-1)
 	// The reporting access enters its ring only after the race check, so
-	// close the window with it explicitly.
-	win = append(win, obs.WitnessAccess{CPU: r.SecondCPU, PC: r.SecondPC, Block: r.Block, Write: r.SecondWr, Seq: r.SecondSeq})
-	present := false
-	for i := range win {
-		if win[i].Seq == r.FirstSeq && win[i].CPU == r.FirstCPU {
-			present = true
-			break
-		}
-	}
-	if !present {
-		// Everything retained is newer than an evicted first access, so
-		// prepending keeps the window sorted.
-		win = append([]obs.WitnessAccess{w.Conflict}, win...)
-	}
-	w.Window = win
+	// it closes the window explicitly; the first access opens it when its
+	// ring has already evicted it (everything retained is newer, so the
+	// window stays sorted).
+	w.Window = obs.Window(d.rings[r.SecondCPU], remote, r.SecondSeq, d.opts.WitnessRing-1,
+		obs.WitnessAccess{CPU: r.SecondCPU, PC: r.SecondPC, Block: r.Block, Write: r.SecondWr, Seq: r.SecondSeq}, w.Conflict)
 	return w
 }

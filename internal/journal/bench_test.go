@@ -1,6 +1,7 @@
 // Append-path microbenchmarks: the per-record cost a journaled ingest
-// hop pays on the producer thread. The first three write 10 KiB records
-// to tmpfs, so they measure the code rather than the disk.
+// hop pays on the producer thread. The first two write 10 KiB records
+// to tmpfs, so they measure the code rather than the disk; both retain
+// a bounded number of segments, so tmpfs use stays bounded too.
 // BenchmarkWriterAppendDisk writes 600-byte records — about one
 // 512-event Events frame, the size BenchmarkServerIngestJournaled
 // journals 68 of per op — with default Options to the real filesystem,
@@ -57,16 +58,12 @@ func benchAppend(b *testing.B, dir string, payloadBytes int, opts Options) {
 	}
 }
 
-// BenchmarkWriterAppend is the production configuration: async flush
-// pipeline and background fsync ticker, one oversized segment so
-// rotation stays out of the loop.
-func BenchmarkWriterAppend(b *testing.B) {
-	benchAppend(b, benchDir(b), 10<<10, Options{SegmentBytes: 1 << 40})
-}
-
-// BenchmarkWriterAppendRotating includes rotation and retention at the
-// default 64 MiB segment size — the cost profile of a long-running
-// daemon, amortized.
+// BenchmarkWriterAppendRotating is the production configuration —
+// async flush pipeline, background fsync ticker, default 64 MiB
+// segments — with retention, so a run at any -benchtime holds at most
+// seven segments (four retained, the active one, two parked for
+// recycling): the cost profile of a long-running daemon, rotation
+// amortized in.
 func BenchmarkWriterAppendRotating(b *testing.B) {
 	benchAppend(b, benchDir(b), 10<<10, Options{RetainSegments: 4})
 }

@@ -107,8 +107,9 @@ const DefaultWitnessRing = 64
 // the oldest entry once the ring is full; the zero-size ring is invalid
 // (use NewAccessRing).
 type AccessRing struct {
-	buf []WitnessAccess
-	n   int // total appended
+	buf  []WitnessAccess
+	next int  // slot the next Add writes
+	full bool // every slot holds an access
 }
 
 // NewAccessRing builds a ring holding the last size accesses (size <= 0
@@ -120,10 +121,36 @@ func NewAccessRing(size int) *AccessRing {
 	return &AccessRing{buf: make([]WitnessAccess, size)}
 }
 
-// Add records one access, evicting the oldest when full.
+// Add records one access, evicting the oldest when full. The write
+// index wraps with a compare, not a divide: Add runs on every recorded
+// load and store of a witness-on stream.
 func (r *AccessRing) Add(a WitnessAccess) {
-	r.buf[r.n%len(r.buf)] = a
-	r.n++
+	r.buf[r.next] = a
+	r.next++
+	if r.next == len(r.buf) {
+		r.next, r.full = 0, true
+	}
+}
+
+// Reset empties the ring, keeping its buffer.
+func (r *AccessRing) Reset() { r.next, r.full = 0, false }
+
+// span returns the slot of the oldest retained access and how many are
+// retained.
+func (r *AccessRing) span() (oldest, n int) {
+	if r.full {
+		return r.next, len(r.buf)
+	}
+	return 0, r.next
+}
+
+// at returns the i-th retained access counting from the one in slot
+// oldest.
+func (r *AccessRing) at(oldest, i int) *WitnessAccess {
+	if i += oldest; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
 }
 
 // Snapshot appends the retained accesses with Seq <= maxSeq to out in
@@ -132,23 +159,103 @@ func (r *AccessRing) Snapshot(maxSeq uint64, out []WitnessAccess) []WitnessAcces
 	if r == nil {
 		return out
 	}
-	kept := r.n
-	if kept > len(r.buf) {
-		kept = len(r.buf)
-	}
-	for i := r.n - kept; i < r.n; i++ {
-		a := &r.buf[i%len(r.buf)]
-		if a.Seq <= maxSeq {
+	oldest, n := r.span()
+	for i := 0; i < n; i++ {
+		if a := r.at(oldest, i); a.Seq <= maxSeq {
 			out = append(out, *a)
 		}
 	}
 	return out
 }
 
+// ringCursor walks a ring's retained accesses with Seq <= maxSeq,
+// oldest first, without copying them out.
+type ringCursor struct {
+	r            *AccessRing
+	oldest, i, n int
+	maxSeq       uint64
+}
+
+func newRingCursor(r *AccessRing, maxSeq uint64) ringCursor {
+	c := ringCursor{r: r, maxSeq: maxSeq}
+	if r != nil {
+		c.oldest, c.n = r.span()
+	}
+	return c
+}
+
+// peek returns the cursor's next access without consuming it; nil when
+// the cursor is exhausted.
+func (c *ringCursor) peek() *WitnessAccess {
+	for ; c.i < c.n; c.i++ {
+		if a := c.r.at(c.oldest, c.i); a.Seq <= c.maxSeq {
+			return a
+		}
+	}
+	return nil
+}
+
+// count returns how many accesses the cursor has left to yield.
+func (c ringCursor) count() int {
+	k := 0
+	for ; c.peek() != nil; c.i++ {
+		k++
+	}
+	return k
+}
+
+// Window assembles a witness's interleaving window in one allocation of
+// its final size: the accesses of rings a and b (b may be nil) with Seq
+// <= maxSeq, merged in virtual-time order (a first on equal Seq) and
+// trimmed to the newest max (max <= 0 keeps all); then last, the
+// reporting access, closes it; then conflict opens it unless an entry
+// already matches its CPU and Seq. The result equals MergeWindow over
+// the two rings' Snapshots followed by that append and prepend, the
+// reference the tests hold it to.
+func Window(a, b *AccessRing, maxSeq uint64, max int, last, conflict WitnessAccess) []WitnessAccess {
+	ca, cb := newRingCursor(a, maxSeq), newRingCursor(b, maxSeq)
+	total := ca.count() + cb.count()
+	skip := 0
+	if max > 0 && total > max {
+		skip = total - max
+	}
+	// Slot 0 is held for conflict; a window that already has it is
+	// returned from slot 1.
+	out := make([]WitnessAccess, 1, 2+total-skip)
+	for {
+		x, y := ca.peek(), cb.peek()
+		var next *WitnessAccess
+		switch {
+		case x != nil && (y == nil || x.Seq <= y.Seq):
+			next = x
+			ca.i++
+		case y != nil:
+			next = y
+			cb.i++
+		}
+		if next == nil {
+			break
+		}
+		if skip > 0 {
+			skip--
+			continue
+		}
+		out = append(out, *next)
+	}
+	out = append(out, last)
+	for i := 1; i < len(out); i++ {
+		if out[i].Seq == conflict.Seq && out[i].CPU == conflict.CPU {
+			return out[1:]
+		}
+	}
+	out[0] = conflict
+	return out
+}
+
 // MergeWindow merges two oldest-first access slices into one virtual-time
 // ordered window, keeping at most max entries from the end (the accesses
 // nearest the report). The inputs must each be sorted by Seq, which ring
-// snapshots are by construction.
+// snapshots are by construction. Window fuses it with the snapshots.
 func MergeWindow(a, b []WitnessAccess, max int) []WitnessAccess {
 	out := make([]WitnessAccess, 0, len(a)+len(b))
 	i, j := 0, 0

@@ -29,6 +29,15 @@ func TestAccessRingWrapsAndSnapshots(t *testing.T) {
 	if got := r.Snapshot(8, nil); len(got) != 2 || got[0].Seq != 7 || got[1].Seq != 8 {
 		t.Errorf("filtered snapshot = %+v", got)
 	}
+	// Reset empties the ring and keeps its buffer.
+	r.Reset()
+	if got := r.Snapshot(^uint64(0), nil); got != nil || len(r.buf) != 4 {
+		t.Errorf("snapshot after Reset = %+v", got)
+	}
+	r.Add(acc(0, 11, 1, false))
+	if got := r.Snapshot(^uint64(0), nil); len(got) != 1 || got[0].Seq != 11 {
+		t.Errorf("snapshot after Reset and Add = %+v", got)
+	}
 	// A nil ring snapshots to nothing.
 	var nilRing *AccessRing
 	if got := nilRing.Snapshot(100, nil); got != nil {
@@ -57,6 +66,82 @@ func TestMergeWindow(t *testing.T) {
 	capped := MergeWindow(a, b, 2)
 	if len(capped) != 2 || capped[0].Seq != 5 || capped[1].Seq != 6 {
 		t.Errorf("capped = %+v", capped)
+	}
+}
+
+// refWindow is the window assembly Window fuses: snapshot both rings,
+// merge, append the reporting access, prepend the conflict if missing.
+func refWindow(a, b *AccessRing, maxSeq uint64, max int, last, conflict WitnessAccess) []WitnessAccess {
+	win := MergeWindow(a.Snapshot(maxSeq, nil), b.Snapshot(maxSeq, nil), max)
+	win = append(win, last)
+	for _, x := range win {
+		if x.Seq == conflict.Seq && x.CPU == conflict.CPU {
+			return win
+		}
+	}
+	return append([]WitnessAccess{conflict}, win...)
+}
+
+// TestWindowMatchesReference drives Window against refWindow over rings
+// at every fill level around wraparound, with and without a second
+// ring, trimming on and off, maxSeq cutting into the rings, sequence
+// numbers out of order, and conflicts present, evicted or never seen.
+func TestWindowMatchesReference(t *testing.T) {
+	rng := uint64(12345)
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	cases := 0
+	for size := 1; size <= 9; size += 2 {
+		for fillA := 0; fillA <= 2*size+1; fillA++ {
+			for _, withB := range []bool{false, true} {
+				a, b := NewAccessRing(size), NewAccessRing(size)
+				seq := uint64(0)
+				for i := 0; i < fillA || (withB && i < fillA+int(next(5))); i++ {
+					seq += 1 + next(3)
+					s := seq
+					if next(8) == 0 {
+						s -= next(seq) // out of order
+					}
+					if i < fillA {
+						a.Add(acc(0, s, int64(next(4)), next(2) == 0))
+					}
+					if withB && next(2) == 0 {
+						b.Add(acc(1, s+1, int64(next(4)), true))
+					}
+				}
+				var rb *AccessRing
+				if withB {
+					rb = b
+				}
+				for _, max := range []int{0, 1, size - 1, size + 3} {
+					for _, cut := range []uint64{seq + 10, seq / 2, 0} {
+						last := acc(0, seq+20, 1, true)
+						conflicts := []WitnessAccess{acc(1, seq/2+1, 1, true), acc(1, seq+50, 2, false), acc(0, 0, 0, false)}
+						if withB {
+							if snap := b.Snapshot(^uint64(0), nil); len(snap) > 0 {
+								conflicts = append(conflicts, snap[len(snap)-1], snap[0])
+							}
+						}
+						for _, c := range conflicts {
+							got := Window(a, rb, cut, max, last, c)
+							want := refWindow(a, rb, cut, max, last, c)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("size %d fill %d b %v max %d cut %d conflict %+v:\n got %+v\nwant %+v",
+									size, fillA, withB, max, cut, c, got, want)
+							}
+							cases++
+						}
+					}
+				}
+			}
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no cases ran")
 	}
 }
 

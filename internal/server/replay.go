@@ -237,7 +237,7 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 	if fr.Type != wire.FrameHello {
 		return nil, nil, fmt.Errorf("server: journaled stream %d opens with %s, not hello", stream, fr.Type)
 	}
-	w, err := e.resolve(fr.Hello)
+	w, _, err := e.resolve(fr.Hello)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -72,6 +72,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/frd"
+	"repro/internal/isa"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -198,6 +199,10 @@ type Counters struct {
 	// another cluster node; their results are published by the new
 	// owner, not this engine.
 	StreamsHandedOff uint64 `json:"streams_handed_off,omitempty"`
+
+	// DetectorReuses counts streams served by their shard's idle
+	// detector pair instead of newly built detectors.
+	DetectorReuses uint64 `json:"detector_reuses,omitempty"`
 }
 
 // Engine is the sharded ingestion engine. Create with New, feed with
@@ -222,6 +227,7 @@ type Engine struct {
 		batchesShed      atomic.Uint64
 		streamsShed      atomic.Uint64
 		streamsHandedOff atomic.Uint64
+		detectorReuses   atomic.Uint64
 	}
 
 	// clusterRt is the cluster router when this engine runs as a
@@ -261,7 +267,37 @@ type shard struct {
 	jobs  chan job
 	pool  sync.Pool // *vm.EventBatch buffers (overflow beyond the per-stream rings)
 	stats shardStats
+
+	// idle is the shard's one spare detector pair: reset by the close
+	// job of the stream that used it, taken by the next open job whose
+	// stream needs the same key. Worker-owned; sd is nil when empty.
+	idle detectorPair
 }
+
+// detectorPair is one stream's detectors with the key a later stream
+// must match to reuse them.
+type detectorPair struct {
+	key pairKey
+	sd  *svd.Detector
+	fd  *frd.Detector
+}
+
+// pairKey is what building a stream's detectors takes beyond the
+// engine's fixed options: the program (registry programs are cached, so
+// equal workload and scale mean the same pointer), the thread count and
+// the witness settings.
+type pairKey struct {
+	prog                *isa.Program
+	threads             int
+	witness, witnessAll bool
+}
+
+// idlePairBudget caps the storage a pair may keep (svd and frd
+// Detector.Retained) to stay a shard's idle pair. A registry pair at
+// scale 1 holds 0.7–1.4 MB; one whose stream sprayed addresses across
+// its workload's memory would keep tens of megabytes, and is dropped
+// instead.
+const idlePairBudget = 4 << 20
 
 // New builds and starts the engine's shard workers.
 func New(opts Options) *Engine {
@@ -307,16 +343,19 @@ type Stream struct {
 	id  uint64
 
 	// Resolved stream identity, fixed at open.
-	w       *workloads.Workload
-	seed    uint64
-	witness bool
-	key     string // cluster routing key; empty outside cluster mode
+	w        *workloads.Workload
+	registry bool // w came from the workload registry, not an embedded program
+	seed     uint64
+	witness  bool
+	key      string // cluster routing key; empty outside cluster mode
 
-	// Worker-owned detector state, created by the open job; only the
-	// owning shard worker touches these after OpenStream returns.
-	sd  *svd.Detector
-	fd  *frd.Detector
-	rec *obs.Recorder
+	// Worker-owned detector state, set by the open job (fresh, or the
+	// shard's idle pair reset by an earlier stream); only the owning
+	// shard worker touches these after OpenStream returns.
+	sd      *svd.Detector
+	fd      *frd.Detector
+	pairKey pairKey
+	rec     *obs.Recorder
 
 	// ring carries processed batch buffers back from the shard worker
 	// to the session; spare holds a borrowed-but-unsent buffer on the
@@ -360,10 +399,12 @@ type Stream struct {
 }
 
 // resolve maps a Hello to a runnable workload: a registry entry when it
-// names one (ground truth included), else a synthetic workload wrapping
-// the embedded program (no ground truth; every report classifies as a
-// false positive, which is the honest reading of "no bug annotations").
-func (e *Engine) resolve(h wire.Hello) (*workloads.Workload, error) {
+// names one (ground truth included; the bool result is true), else a
+// synthetic workload wrapping the embedded program (no ground truth;
+// every report classifies as a false positive, which is the honest
+// reading of "no bug annotations"). A registry scale above
+// workloads.MaxScale is refused like an unknown name.
+func (e *Engine) resolve(h wire.Hello) (*workloads.Workload, bool, error) {
 	if h.Workload != "" {
 		scale := h.Scale
 		if scale <= 0 {
@@ -372,23 +413,23 @@ func (e *Engine) resolve(h wire.Hello) (*workloads.Workload, error) {
 		w, err := workloads.ByName(h.Workload, scale, h.Seed)
 		if err == nil {
 			if w.NumThreads != h.Threads {
-				return nil, fmt.Errorf("server: workload %q has %d threads, hello declares %d",
+				return nil, false, fmt.Errorf("server: workload %q has %d threads, hello declares %d",
 					h.Workload, w.NumThreads, h.Threads)
 			}
-			return w, nil
+			return w, true, nil
 		}
 		if h.Program == nil {
-			return nil, err
+			return nil, false, err
 		}
 	}
 	if h.Program == nil {
-		return nil, fmt.Errorf("server: hello carries neither a known workload nor a program")
+		return nil, false, fmt.Errorf("server: hello carries neither a known workload nor a program")
 	}
 	name := h.Program.Name
 	if name == "" {
 		name = "remote"
 	}
-	return &workloads.Workload{Name: name, Prog: h.Program, NumThreads: h.Threads, MemWords: h.MemWords}, nil
+	return &workloads.Workload{Name: name, Prog: h.Program, NumThreads: h.Threads, MemWords: h.MemWords}, false, nil
 }
 
 // checkAddrs fails a decoded batch that addresses memory outside the
@@ -420,7 +461,7 @@ func (e *Engine) OpenStream(h wire.Hello, key string) (*Stream, error) {
 	if e.draining.Load() {
 		return nil, fmt.Errorf("server: draining, not accepting streams")
 	}
-	w, err := e.resolve(h)
+	w, registry, err := e.resolve(h)
 	if err != nil {
 		return nil, err
 	}
@@ -430,6 +471,7 @@ func (e *Engine) OpenStream(h wire.Hello, key string) (*Stream, error) {
 		sh:         e.route(key, id),
 		id:         id,
 		w:          w,
+		registry:   registry,
 		seed:       h.Seed,
 		witness:    h.Witness || e.opts.ForceWitness,
 		key:        key,
@@ -604,8 +646,17 @@ func (e *Engine) worker(sh *shard) {
 				svdOpts.Recorder = st.rec
 				frdOpts.Recorder = st.rec
 			}
-			st.sd = svd.New(st.w.Prog, st.w.NumThreads, svdOpts)
-			st.fd = frd.New(st.w.Prog, st.w.NumThreads, frdOpts)
+			st.pairKey = pairKey{st.w.Prog, st.w.NumThreads, svdOpts.Witness, svdOpts.WitnessAll}
+			if p := sh.idle; p.sd != nil && p.key == st.pairKey {
+				sh.idle = detectorPair{}
+				e.counters.detectorReuses.Add(1)
+				st.sd, st.fd = p.sd, p.fd
+				st.sd.SetRecorder(svdOpts.Recorder)
+				st.fd.SetRecorder(frdOpts.Recorder)
+			} else {
+				st.sd = svd.New(st.w.Prog, st.w.NumThreads, svdOpts)
+				st.fd = frd.New(st.w.Prog, st.w.NumThreads, frdOpts)
+			}
 			// Mirror the detectors' retention defaulting (<=0 means 1<<16)
 			// so the anchor bound always matches what they retain.
 			st.anchorCapSVD = 1 << 16
@@ -657,12 +708,26 @@ func (e *Engine) worker(sh *shard) {
 			if st.released {
 				e.counters.streamsHandedOff.Add(1)
 			}
-			// Free detector state before signaling: the stream handle
+			// Drop detector state before signaling: the stream handle
 			// may outlive the shard's interest in it.
+			pair := detectorPair{key: st.pairKey, sd: st.sd, fd: st.fd}
 			st.sd, st.fd, st.rec = nil, nil, nil
 			e.counters.streamsClosed.Add(1)
 			e.streams.Done()
 			close(st.done)
+			// Reset the pair into the shard's idle slot after signaling:
+			// the sample and the anchors hold nothing Reset writes into
+			// (it drops the witness slices they share), so the session
+			// encodes the result meanwhile. An embedded program is never
+			// seen again and keeps nothing; a pair over the budget is
+			// dropped for the collector.
+			if st.registry && pair.sd.Retained()+pair.fd.Retained() <= idlePairBudget {
+				pair.sd.Reset()
+				pair.fd.Reset()
+				pair.sd.SetRecorder(nil)
+				pair.fd.SetRecorder(nil)
+				sh.idle = pair
+			}
 		default:
 			// Telemetry clocks: Options.Telemetry feeds the shard stats,
 			// a send stamp feeds the stream's wire-to-verdict histogram;
@@ -741,6 +806,7 @@ func (e *Engine) Counters() Counters {
 		StreamsShed:   e.counters.streamsShed.Load(),
 
 		StreamsHandedOff: e.counters.streamsHandedOff.Load(),
+		DetectorReuses:   e.counters.detectorReuses.Load(),
 	}
 }
 

@@ -107,6 +107,7 @@ telemetry {{if .Telemetry}}on{{else}}off{{end}} ·
 {{if .Counters.BatchesShed}}<tr class="warn"><td class="l">batches shed</td><td>{{.Counters.BatchesShed}}</td></tr>{{end}}
 {{if .Counters.StreamsShed}}<tr class="warn"><td class="l">streams shed</td><td>{{.Counters.StreamsShed}}</td></tr>{{end}}
 {{if .Counters.StreamsHandedOff}}<tr><td class="l">streams handed off</td><td>{{.Counters.StreamsHandedOff}}</td></tr>{{end}}
+<tr><td class="l">detector reuses</td><td>{{.Counters.DetectorReuses}}</td></tr>
 </table>
 
 {{with .Cluster}}
@@ -247,8 +248,8 @@ func (e *Engine) WriteStatusText(w io.Writer) {
 	fmt.Fprintf(w, "svdd version=%s go=%s uptime=%s policy=%s telemetry=%v open_streams=%d\n",
 		d.Version, d.GoVersion, d.Uptime, d.Policy, d.Telemetry, len(d.Streams))
 	c := d.Counters
-	fmt.Fprintf(w, "counters opened=%d closed=%d batches=%d events=%d batches_shed=%d streams_shed=%d streams_handed_off=%d\n",
-		c.StreamsOpened, c.StreamsClosed, c.Batches, c.Events, c.BatchesShed, c.StreamsShed, c.StreamsHandedOff)
+	fmt.Fprintf(w, "counters opened=%d closed=%d batches=%d events=%d batches_shed=%d streams_shed=%d streams_handed_off=%d detector_reuses=%d\n",
+		c.StreamsOpened, c.StreamsClosed, c.Batches, c.Events, c.BatchesShed, c.StreamsShed, c.StreamsHandedOff, c.DetectorReuses)
 	if cl := d.Cluster; cl != nil {
 		fmt.Fprintf(w, "cluster node=%s epoch=%d ring_version=%d members=%d handoffs_in_flight=%d misroutes=%d forwarded_frames=%d handoffs_out=%d handoffs_in=%d members_down=%d\n",
 			cl.Self, cl.Epoch, cl.RingVersion, len(cl.Members), cl.HandoffsInFlight,

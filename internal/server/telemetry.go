@@ -263,6 +263,7 @@ func (e *Engine) WriteMetrics(o *obs.OpenMetricsWriter) {
 	o.Counter("ingest_events", "events enqueued to shard workers", c.Events)
 	o.Counter("batches_shed", "batches dropped under PolicyShed", c.BatchesShed)
 	o.Counter("streams_shed", "streams poisoned by shedding", c.StreamsShed)
+	o.Counter("detector_reuses", "streams served by their shard's idle detector pair", c.DetectorReuses)
 	o.Gauge("streams_open", "streams currently open", float64(len(sn.Streams)))
 
 	if j := sn.Journal; j != nil {

@@ -58,7 +58,7 @@ func (d *Detector) newCU() *cu {
 		d.stats.CUsReused++
 	} else {
 		if len(d.slab) == 0 {
-			d.slab = make([]cu, cuSlabSize)
+			d.slab = d.nextSlab()
 		}
 		c = &d.slab[0]
 		d.slab = d.slab[1:]
@@ -68,6 +68,38 @@ func (d *Detector) newCU() *cu {
 	c.born = d.stats.Instructions
 	c.active = true
 	return c
+}
+
+// nextSlab returns the next chunk to carve units from: one already
+// carved before the last Reset when there is one, else a fresh
+// allocation. Under NoCUArena chunks are never kept.
+func (d *Detector) nextSlab() []cu {
+	if d.nslab < len(d.slabs) {
+		s := d.slabs[d.nslab]
+		d.nslab++
+		return s
+	}
+	s := make([]cu, cuSlabSize)
+	if !d.opts.NoCUArena {
+		d.slabs = append(d.slabs, s)
+		d.nslab++
+	}
+	return s
+}
+
+// rewindArena is Reset's half of the arena: every unit carved so far
+// becomes uncarved storage again. The chunks are zeroed, which also
+// drops spill storage and forwarding links, and are carved again in
+// order — as fresh allocations in the stats, so a reset detector counts
+// CUsAllocated and CUsReused exactly as a new one does.
+func (d *Detector) rewindArena() {
+	for _, s := range d.slabs[:d.nslab] {
+		clear(s)
+	}
+	d.nslab = 0
+	d.slab = nil
+	clear(d.free)
+	d.free = d.free[:0]
 }
 
 // acquire records a new counted reference to c.

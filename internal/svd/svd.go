@@ -37,7 +37,9 @@ package svd
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
+	"unsafe"
 
 	"repro/internal/blockstore"
 	"repro/internal/isa"
@@ -287,29 +289,37 @@ type Stats struct {
 // merged away); Table 2 reports CUs per million instructions on this basis.
 func (s Stats) CUsLive() uint64 { return s.CUsCreated - s.CUsMerged }
 
-// blockState is the per-thread view of one memory block.
+// blockState is the per-thread view of one memory block: 72 bytes, so
+// a 512-slot page is 36 KB. Sequence numbers keep 64 bits; PCs and CPU
+// ids are stored in 32 and widened back to int64/int where they leave
+// the detector (Violation, LogEntry, obs.Witness). That is lossless:
+// New refuses a program of 2^31 or more instructions, the VM only
+// emits PCs inside its program and StepColumns' preflight rejects any
+// other, and a CPU id indexes the detector's thread slice.
 type blockState struct {
-	cu       *cu
-	state    fsmState
-	touched  bool // a local access materialized this block's state
-	conflict bool
+	// The fields every access reads sit next to cu in the record's
+	// first 16 bytes, on cu's cache line for seven records in eight.
+	cu             *cu
+	state          fsmState
+	touched        bool // a local access materialized this block's state
+	conflict       bool
+	conflictWrite  bool
+	hasLocalWrite  bool
+	hasLocalLoad   bool
+	hasRemoteWrite bool
 
 	// First unconsumed conflicting remote access, for violation reports.
-	conflictCPU   int
-	conflictPC    int64
-	conflictSeq   uint64
-	conflictWrite bool
+	conflictPC  int32
+	conflictCPU int32
+	conflictSeq uint64
 
 	// Access history for the a posteriori log.
-	hasLocalWrite  bool
-	localWritePC   int64
+	localWritePC   int32
+	localLoadPC    int32
+	remoteWritePC  int32
+	remoteWriteCPU int32
 	localWriteSeq  uint64
-	hasLocalLoad   bool
-	localLoadPC    int64
 	localLoadSeq   uint64
-	hasRemoteWrite bool
-	remoteWritePC  int64
-	remoteWriteCPU int
 	remoteWriteSeq uint64
 }
 
@@ -341,8 +351,9 @@ type threadState struct {
 	// materialized slot (pages are stable, overflow entries are boxed);
 	// the one operation that invalidates a slot's contents, Delete, is
 	// reached only through evictBlock, which clears matching entries.
-	// Cached entries are always touched. Clone and Reset build fresh
-	// threadStates, so caches never survive either.
+	// Cached entries are always touched. Clone builds fresh
+	// threadStates and Reset clears both caches, so none survives
+	// either.
 	cb0, cb1   int64
 	cbp0, cbp1 *blockState
 
@@ -383,8 +394,10 @@ type Detector struct {
 	batchErr error
 
 	// CU arena storage (see arena.go).
-	free []*cu
-	slab []cu
+	free  []*cu
+	slab  []cu   // uncarved rest of the current chunk
+	slabs [][]cu // chunks carved since New; Reset carves them again
+	nslab int    // chunks of slabs carved since the last Reset
 
 	nextCU     uint64
 	violations []Violation
@@ -400,8 +413,13 @@ type logKey struct {
 	readPC, remotePC, localPC int64
 }
 
-// New builds a detector for prog observed across numCPUs processors.
+// New builds a detector for prog observed across numCPUs processors. It
+// panics on a program of 2^31 or more instructions, whose PCs the
+// per-block records could not hold.
 func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
+	if len(prog.Code) > math.MaxInt32 {
+		panic(fmt.Sprintf("svd: program %q has %d instructions, more than 2^31-1", prog.Name, len(prog.Code)))
+	}
 	d := &Detector{
 		prog:    prog,
 		opts:    opts.withDefaults(),
@@ -426,20 +444,93 @@ func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
 }
 
 // Reset discards all detector state, as after a backward-error-recovery
-// rollback.
+// rollback or before the detector serves its next stream: afterwards it
+// behaves exactly like New with the same program, thread count and
+// options. It clears in place rather than rebuilding, so a detector
+// reused run after run stops allocating once warm: the block pages the
+// run materialized are zeroed and kept (blockstore.Store.Clear), the CU
+// arena rewinds over the chunks it already carved, and registers,
+// control stacks and access rings empty into their existing storage.
+// The witness groups and AllWitnesses slices are dropped, never
+// reused, because samples and journal anchors may still hold them;
+// the storage behind Violations is reused.
 func (d *Detector) Reset() {
-	n := len(d.threads)
-	prog, opts := d.prog, d.opts
-	*d = *New(prog, n, opts)
-	// The fresh thread states carry back-pointers to the detector New
-	// allocated; repoint them at the receiver that now holds the state.
 	for _, t := range d.threads {
-		t.d = d
+		t.reset()
+	}
+	if d.ix != nil {
+		d.ix.Clear()
+	}
+	d.rewindArena()
+	d.batchErr = nil
+	d.nextCU = 0
+	d.violations = d.violations[:0]
+	d.groups = obs.GroupSet{}
+	d.all = nil
+	clear(d.sites)
+	d.logEntries = d.logEntries[:0]
+	clear(d.logSeen)
+	d.stats = Stats{}
+}
+
+// reset empties one thread instance in place for Detector.Reset. Every
+// CU reference it drops dies with the arena's rewind, so none is
+// released one by one.
+func (t *threadState) reset() {
+	t.blocks.Clear()
+	t.nblocks = 0
+	for r := range t.regs {
+		clear(t.regs[r])
+		t.regs[r] = t.regs[r][:0]
+	}
+	// Entries past len were emptied when popped (dropCtrlTop).
+	for i := range t.ctrl {
+		e := &t.ctrl[i]
+		clear(e.cuSet)
+		e.cuSet = e.cuSet[:0]
+	}
+	t.ctrl = t.ctrl[:0]
+	t.depth = 0
+	// The cleared pages are detached, so cached slots must die; the
+	// fan-out cache would die anyway with the index's generation bump.
+	t.cb0, t.cb1, t.cbp0, t.cbp1 = 0, 0, nil, nil
+	t.fanB, t.fanSet, t.fanOK, t.fanQuiet, t.fanGen = [2]int64{}, [2]blockstore.ThreadSet{}, [2]bool{}, [2]bool{}, 0
+	if t.ring != nil {
+		t.ring.Reset()
 	}
 }
 
-// Violations returns the retained dynamic violation reports.
-func (d *Detector) Violations() []Violation { return d.violations }
+// SetRecorder attaches rec as the telemetry recorder, as
+// Options.Recorder does at New; nil detaches it. Call it between runs
+// only, on a new or just-reset detector.
+func (d *Detector) SetRecorder(rec *obs.Recorder) {
+	d.rec = rec
+	d.opts.Recorder = rec
+}
+
+// Retained reports the bytes of the storage Reset keeps for the next
+// run that grows with what a run touches: block pages (spares
+// included), the interest index's pages and the CU arena's chunks. A
+// caller holding detectors for reuse bounds them by it.
+func (d *Detector) Retained() int {
+	n := len(d.slabs) * cuSlabSize * int(unsafe.Sizeof(cu{}))
+	if d.ix != nil {
+		n += d.ix.HeldBytes()
+	}
+	for _, t := range d.threads {
+		n += t.blocks.HeldBytes()
+	}
+	return n
+}
+
+// Violations returns the retained dynamic violation reports; nil when
+// there are none. The slice is valid until the next Reset.
+func (d *Detector) Violations() []Violation {
+	if len(d.violations) == 0 {
+		return nil
+	}
+	return d.violations
+}
 
 // WitnessGroups returns the violation witness groups, one per site pair
 // (store PC, conflicting PC) in first-seen order, each with its exact
@@ -1060,10 +1151,10 @@ func (t *threadState) load(ev *vm.Event, b int64, rd isa.Reg) {
 			Block:          b,
 			ReadPC:         ev.PC,
 			ReadSeq:        ev.Seq,
-			RemoteWritePC:  bs.remoteWritePC,
-			RemoteWriteCPU: bs.remoteWriteCPU,
+			RemoteWritePC:  int64(bs.remoteWritePC),
+			RemoteWriteCPU: int(bs.remoteWriteCPU),
 			RemoteWriteSeq: bs.remoteWriteSeq,
-			LocalWritePC:   bs.localWritePC,
+			LocalWritePC:   int64(bs.localWritePC),
 			LocalWriteSeq:  bs.localWriteSeq,
 		})
 	}
@@ -1094,7 +1185,7 @@ func (t *threadState) load(ev *vm.Event, b int64, rd isa.Reg) {
 	bs.state = fsmNext[kindLoad][bs.state]
 
 	bs.hasLocalLoad = true
-	bs.localLoadPC = ev.PC
+	bs.localLoadPC = int32(ev.PC)
 	bs.localLoadSeq = ev.Seq
 	if t.ring != nil {
 		t.ring.Add(obs.WitnessAccess{CPU: t.id, PC: ev.PC, Block: b, Seq: ev.Seq, CU: c.id})
@@ -1148,7 +1239,7 @@ func (t *threadState) store(ev *vm.Event, b int64, valReg, addrReg isa.Reg) {
 	bs.state = fsmNext[kindStore][bs.state]
 
 	bs.hasLocalWrite = true
-	bs.localWritePC = ev.PC
+	bs.localWritePC = int32(ev.PC)
 	bs.localWriteSeq = ev.Seq
 	if t.ring != nil {
 		t.ring.Add(obs.WitnessAccess{CPU: t.id, PC: ev.PC, Block: b, Write: true, Seq: ev.Seq, CU: c.id})
@@ -1198,8 +1289,8 @@ func (t *threadState) reportIfConflict(ev *vm.Event, c *cu, blocks *blockSet) bo
 			StorePC:     ev.PC,
 			Block:       b,
 			CU:          c.id,
-			ConflictCPU: bs.conflictCPU,
-			ConflictPC:  bs.conflictPC,
+			ConflictCPU: int(bs.conflictCPU),
+			ConflictPC:  int64(bs.conflictPC),
 			ConflictSeq: bs.conflictSeq,
 		}
 		t.d.recordSite(v)
@@ -1309,8 +1400,8 @@ func (t *threadState) remote(ev *vm.Event, b int64) {
 		// thread wrote the block.
 		if !bs.conflict && (isWrite || bs.state.locallyWritten()) {
 			bs.conflict = true
-			bs.conflictCPU = ev.CPU
-			bs.conflictPC = ev.PC
+			bs.conflictCPU = int32(ev.CPU)
+			bs.conflictPC = int32(ev.PC)
 			bs.conflictSeq = ev.Seq
 			bs.conflictWrite = isWrite
 		}
@@ -1326,12 +1417,12 @@ func (t *threadState) remote(ev *vm.Event, b int64) {
 			t.d.logTriple(LogEntry{
 				CPU:            t.id,
 				Block:          b,
-				ReadPC:         bs.localLoadPC,
+				ReadPC:         int64(bs.localLoadPC),
 				ReadSeq:        bs.localLoadSeq,
 				RemoteWritePC:  ev.PC,
 				RemoteWriteCPU: ev.CPU,
 				RemoteWriteSeq: ev.Seq,
-				LocalWritePC:   bs.localWritePC,
+				LocalWritePC:   int64(bs.localWritePC),
 				LocalWriteSeq:  bs.localWriteSeq,
 			})
 		}
@@ -1350,8 +1441,8 @@ func (t *threadState) remote(ev *vm.Event, b int64) {
 
 	if isWrite {
 		bs.hasRemoteWrite = true
-		bs.remoteWritePC = ev.PC
-		bs.remoteWriteCPU = ev.CPU
+		bs.remoteWritePC = int32(ev.PC)
+		bs.remoteWriteCPU = int32(ev.CPU)
 		bs.remoteWriteSeq = ev.Seq
 	}
 }

@@ -1,7 +1,7 @@
 package svd
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -63,34 +63,21 @@ func (t *threadState) buildWitness(v Violation, c *cu, bs *blockState) obs.Witne
 	// invalidated. Blocks checked through ws (CheckAllBlocks) may carry
 	// only a local write.
 	if bs.hasLocalLoad {
-		w.Stale = &obs.WitnessAccess{CPU: t.id, PC: bs.localLoadPC, Block: v.Block, Seq: bs.localLoadSeq, CU: c.id}
+		w.Stale = &obs.WitnessAccess{CPU: t.id, PC: int64(bs.localLoadPC), Block: v.Block, Seq: bs.localLoadSeq, CU: c.id}
 	} else if bs.hasLocalWrite {
-		w.Stale = &obs.WitnessAccess{CPU: t.id, PC: bs.localWritePC, Block: v.Block, Write: true, Seq: bs.localWriteSeq, CU: c.id}
+		w.Stale = &obs.WitnessAccess{CPU: t.id, PC: int64(bs.localWritePC), Block: v.Block, Write: true, Seq: bs.localWriteSeq, CU: c.id}
 	}
 
-	local := t.ring.Snapshot(v.Seq, nil)
-	var remote []obs.WitnessAccess
+	var remote *obs.AccessRing
 	if v.ConflictCPU >= 0 && v.ConflictCPU < len(t.d.threads) && v.ConflictCPU != t.id {
-		remote = t.d.threads[v.ConflictCPU].ring.Snapshot(v.Seq, nil)
+		remote = t.d.threads[v.ConflictCPU].ring
 	}
-	win := obs.MergeWindow(local, remote, t.d.opts.WitnessRing-1)
-	// The reporting store itself enters the ring only after the check, so
-	// close the window with it explicitly.
-	win = append(win, obs.WitnessAccess{CPU: t.id, PC: v.StorePC, Block: v.Block, Write: true, Seq: v.Seq, CU: c.id})
-	// Guarantee the conflicting access survives even when the remote ring
-	// has already evicted it: everything retained is newer, so prepending
-	// keeps the window sorted.
-	present := false
-	for i := range win {
-		if win[i].Seq == v.ConflictSeq && win[i].CPU == v.ConflictCPU {
-			present = true
-			break
-		}
-	}
-	if !present {
-		win = append([]obs.WitnessAccess{w.Conflict}, win...)
-	}
-	w.Window = win
+	// The reporting store itself enters the ring only after the check,
+	// so it closes the window explicitly; the conflicting access opens
+	// it when the remote ring has already evicted it (everything
+	// retained is newer, so the window stays sorted).
+	w.Window = obs.Window(t.ring, remote, v.Seq, t.d.opts.WitnessRing-1,
+		obs.WitnessAccess{CPU: t.id, PC: v.StorePC, Block: v.Block, Write: true, Seq: v.Seq, CU: c.id}, w.Conflict)
 	return w
 }
 
@@ -100,12 +87,11 @@ func footprint(s *blockSet) []int64 {
 	if s.len() == 0 {
 		return nil
 	}
-	out := make([]int64, 0, s.len())
-	s.forEach(func(b int64) bool {
-		out = append(out, b)
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]int64, s.len())
+	for i := range out {
+		out[i] = s.at(i)
+	}
+	slices.Sort(out)
 	if len(out) > obs.MaxFootprintBlocks {
 		out = append([]int64(nil), out[:obs.MaxFootprintBlocks]...)
 	}

@@ -48,7 +48,10 @@ func (c ApacheConfig) withDefaults() ApacheConfig {
 // the shared log buffer: read the index, flush when full, copy the record,
 // bump the index. The buggy variant performs the append without the lock —
 // Apache 2.0.48's actual defect, which silently corrupts the access log.
-func ApacheLog(cfg ApacheConfig) *Workload {
+func ApacheLog(cfg ApacheConfig) *Workload { return must(apacheLog(cfg)) }
+
+// apacheLog is ApacheLog, returning a compile failure instead of panicking.
+func apacheLog(cfg ApacheConfig) (*Workload, error) {
 	cfg = cfg.withDefaults()
 	lock1, unlock1 := "lock(loglock);", "unlock(loglock);"
 	if cfg.Buggy {
@@ -120,7 +123,10 @@ func writer(n) {
 	if cfg.Buggy {
 		name = "apache-buggy"
 	}
-	prog := compile(name, src)
+	prog, err := compile(name, src)
+	if err != nil {
+		return nil, err
+	}
 
 	var bugPCs map[int64]bool
 	if cfg.Buggy {
@@ -168,5 +174,5 @@ func writer(n) {
 			}
 			return false, "log consistent"
 		},
-	}
+	}, nil
 }

@@ -35,7 +35,10 @@ func (c MySQLTablesConfig) withDefaults() MySQLTablesConfig {
 // because the invariant tot_lock >= 0 keeps the guarded branch dead. FRD
 // reports the race; a correct serializability detector stays silent. There
 // is no bug: every report by either detector is a false positive.
-func MySQLTables(cfg MySQLTablesConfig) *Workload {
+func MySQLTables(cfg MySQLTablesConfig) *Workload { return must(mySQLTables(cfg)) }
+
+// mySQLTables is MySQLTables, returning a compile failure instead of panicking.
+func mySQLTables(cfg MySQLTablesConfig) (*Workload, error) {
 	cfg = cfg.withDefaults()
 	src := fmt.Sprintf(`// MySQL table-locking model (paper Figure 1)
 shared tot_lock;        // count of table locks held (data, not a lock word)
@@ -88,7 +91,10 @@ func checker(n) {
 		threadDecls(cfg.Lockers, "locker", fmt.Sprintf("%d", cfg.Ops)),
 		cfg.Lockers, cfg.Ops*2)
 
-	prog := compile("mysql-tables", src)
+	prog, err := compile("mysql-tables", src)
+	if err != nil {
+		return nil, err
+	}
 	return &Workload{
 		Name: "mysql-tables",
 		Description: fmt.Sprintf(
@@ -109,7 +115,7 @@ func checker(n) {
 			}
 			return false, "bookkeeping consistent"
 		},
-	}
+	}, nil
 }
 
 // MySQLPreparedConfig parameterizes the Figure 3 model.
@@ -146,7 +152,10 @@ func (c MySQLPreparedConfig) withDefaults() MySQLPreparedConfig {
 // table structures, so a concurrent query overwrites them and the loop
 // reads inconsistent state — the crash the paper's authors diagnosed with
 // the a posteriori log. The fixed variant declares them thread-local.
-func MySQLPrepared(cfg MySQLPreparedConfig) *Workload {
+func MySQLPrepared(cfg MySQLPreparedConfig) *Workload { return must(mySQLPrepared(cfg)) }
+
+// mySQLPrepared is MySQLPrepared, returning a compile failure instead of panicking.
+func mySQLPrepared(cfg MySQLPreparedConfig) (*Workload, error) {
 	cfg = cfg.withDefaults()
 	storage := "shared"
 	if !cfg.Buggy {
@@ -206,7 +215,10 @@ func runquery(n) {
 	if cfg.Buggy {
 		name = "mysql-prepared-buggy"
 	}
-	prog := compile(name, src)
+	prog, err := compile(name, src)
+	if err != nil {
+		return nil, err
+	}
 
 	var bugPCs map[int64]bool
 	if cfg.Buggy {
@@ -242,5 +254,5 @@ func runquery(n) {
 			}
 			return false, "query state consistent"
 		},
-	}
+	}, nil
 }

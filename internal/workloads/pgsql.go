@@ -46,7 +46,10 @@ const initialStock = 10000
 // so occasional post-commit bookkeeping that reuses a value read under the
 // lock produces a low rate of strict-2PL false positives: the Table 2
 // PgSQL inversion.
-func PgSQLOLTP(cfg PgSQLConfig) *Workload {
+func PgSQLOLTP(cfg PgSQLConfig) *Workload { return must(pgSQLOLTP(cfg)) }
+
+// pgSQLOLTP is PgSQLOLTP, returning a compile failure instead of panicking.
+func pgSQLOLTP(cfg PgSQLConfig) (*Workload, error) {
 	cfg = cfg.withDefaults()
 	src := fmt.Sprintf(`// PostgreSQL DBT-2 OLTP model (paper Table 1, PgSQL row)
 lock wlock[%d];          // one lock per warehouse row
@@ -100,7 +103,10 @@ func terminal(n) {
 		cfg.ThinkWork, cfg.Txns, cfg.Txns,
 		threadDecls(cfg.Terminals, "terminal", fmt.Sprintf("%d", cfg.Txns)))
 
-	prog := compile("pgsql-oltp", src)
+	prog, err := compile("pgsql-oltp", src)
+	if err != nil {
+		return nil, err
+	}
 	warehouses, terminals, txns := cfg.Warehouses, cfg.Terminals, cfg.Txns
 	seed := cfg.Seed
 	return &Workload{
@@ -154,5 +160,5 @@ func terminal(n) {
 			}
 			return false, "database consistent"
 		},
-	}
+	}, nil
 }

@@ -43,7 +43,10 @@ func (c QueueConfig) withDefaults() QueueConfig {
 // The buggy variant omits the lock; detecting its corruptions requires
 // address dependences, which BenchmarkAblationNoAddressDeps and the
 // workload tests verify.
-func QueueWork(cfg QueueConfig) *Workload {
+func QueueWork(cfg QueueConfig) *Workload { return must(queueWork(cfg)) }
+
+// queueWork is QueueWork, returning a compile failure instead of panicking.
+func queueWork(cfg QueueConfig) (*Workload, error) {
 	cfg = cfg.withDefaults()
 	lockQ, unlockQ := "lock(qlock);", "unlock(qlock);"
 	lockD, unlockD := "lock(qlock);", "unlock(qlock);"
@@ -108,7 +111,10 @@ func consumer(budget) {
 	if cfg.Buggy {
 		name = "queue-buggy"
 	}
-	prog := compile(name, src)
+	prog, err := compile(name, src)
+	if err != nil {
+		return nil, err
+	}
 
 	var bugPCs map[int64]bool
 	if cfg.Buggy {
@@ -175,7 +181,7 @@ func consumer(budget) {
 			}
 			return false, "queue consistent"
 		},
-	}
+	}, nil
 }
 
 // consumerDecls renders the consumer thread declarations on CPUs after the

@@ -131,3 +131,77 @@ func TestPokeArrayUnknownSymbolPanics(t *testing.T) {
 	}()
 	pokeArray(m, "does-not-exist", []int64{1})
 }
+
+// TestByNameRefusesHostileScale: a scale a client can put in a Hello
+// must come back as an error, never a panic, and never a compile. Scale
+// 8192 once made pgsql-oltp's globals overflow the compiler's limit and
+// panicked a serving daemon.
+func TestByNameRefusesHostileScale(t *testing.T) {
+	for _, name := range Names() {
+		for _, scale := range []int{MaxScale + 1, 1024, 8192, 1 << 40} {
+			w, err := ByName(name, scale, 1)
+			if err == nil || w != nil {
+				t.Errorf("%s at scale %d: got %v, %v; want an error", name, scale, w, err)
+			}
+		}
+		if _, err := ByName(name, MaxScale, 1); err != nil {
+			t.Errorf("%s at MaxScale: %v", name, err)
+		}
+	}
+	if _, err := compile("broken", "shared x[;"); err == nil {
+		t.Error("compile accepted a malformed source")
+	}
+}
+
+// TestCheckMemory: a workload whose data segment outgrows its memory is
+// refused. queue-fixed at scale 1024 laid out 204,809 data words in a
+// 131,072-word machine and was served anyway.
+func TestCheckMemory(t *testing.T) {
+	w, err := queueWork(QueueConfig{Producers: 2, Consumers: 2, Items: 48 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.checkMemory(); err == nil || !strings.Contains(err.Error(), "does not fit") {
+		t.Errorf("checkMemory = %v, want a does-not-fit error", err)
+	}
+	if _, err := w.NewVM(1); err == nil {
+		t.Error("the VM booted the oversized workload; the check is stricter than it needs to be")
+	}
+	ok, err := ByName("queue-fixed", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ok.checkMemory(); err != nil {
+		t.Errorf("queue-fixed at scale 8: %v", err)
+	}
+}
+
+// TestProgramCache: registry workloads share one compiled program per
+// name and scale, whatever the seed, and the cache stays bounded.
+func TestProgramCache(t *testing.T) {
+	a, err := ByName("queue-fixed", 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ByName("queue-fixed", 3, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Prog != b.Prog {
+		t.Error("two seeds of one workload compiled twice")
+	}
+	if c, _ := ByName("queue-fixed", 4, 1); c.Prog == a.Prog {
+		t.Error("two scales share a program")
+	}
+	for scale := 1; scale <= MaxScale; scale++ {
+		if _, err := ByName("mysql-tables", scale, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	progCache.Lock()
+	n, order := len(progCache.progs), len(progCache.order)
+	progCache.Unlock()
+	if n > maxCachedPrograms || n != order {
+		t.Errorf("cache holds %d programs (%d ordered), bound %d", n, order, maxCachedPrograms)
+	}
+}

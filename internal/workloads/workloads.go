@@ -29,6 +29,7 @@ package workloads
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/lang"
@@ -89,14 +90,81 @@ func (w *Workload) NewVMWith(seed uint64, mode vm.ScheduleMode, cost vm.CostMode
 	return m, nil
 }
 
-// compile builds the workload program or panics: workload sources are
-// fixed strings, so failure is a programming error.
-func compile(name, src string) *isa.Program {
+// maxCachedPrograms bounds the program cache. A daemon serving the
+// registry at a few scales needs a handful of entries; ByName's scale
+// bound already keeps the reachable keys finite, and this keeps the
+// cache small even for a client cycling through every scale.
+const maxCachedPrograms = 16
+
+type progKey struct{ name, src string }
+
+// progCache holds compiled programs keyed by name and source, so
+// rebuilding a workload — which a detection service does for every
+// stream it serves — renders the source and probes a map instead of
+// compiling. Sharing one *isa.Program is safe: nothing writes a program
+// after lang.Compile returns it (the VM copies Data into its own
+// memory), and a seed changes only a workload's Setup, never its
+// source. Full, it evicts the oldest entry.
+var progCache struct {
+	sync.Mutex
+	progs map[progKey]*isa.Program
+	order []progKey // insertion order, oldest first
+}
+
+// compile builds a workload program, from the cache when it holds one.
+func compile(name, src string) (*isa.Program, error) {
+	k := progKey{name, src}
+	progCache.Lock()
+	p := progCache.progs[k]
+	progCache.Unlock()
+	if p != nil {
+		return p, nil
+	}
 	p, err := lang.Compile(src, lang.Options{Name: name, DataBase: 0})
 	if err != nil {
-		panic(fmt.Sprintf("workloads: %s does not compile: %v", name, err))
+		return nil, fmt.Errorf("workloads: %s does not compile: %w", name, err)
 	}
-	return p
+	progCache.Lock()
+	defer progCache.Unlock()
+	if q := progCache.progs[k]; q != nil {
+		return q, nil // compiled concurrently; keep one copy
+	}
+	if progCache.progs == nil {
+		progCache.progs = make(map[progKey]*isa.Program)
+	}
+	if len(progCache.order) >= maxCachedPrograms {
+		delete(progCache.progs, progCache.order[0])
+		progCache.order = progCache.order[1:]
+	}
+	progCache.progs[k] = p
+	progCache.order = append(progCache.order, k)
+	return p, nil
+}
+
+// must unwraps a constructor result, panicking on failure: the exported
+// constructors take configurations from code, so a compile failure there
+// is a programming error. Untrusted scales go through ByName instead.
+func must(w *Workload, err error) *Workload {
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// checkMemory fails a workload whose data segment does not fit in its
+// memory beside the threads' stacks — a machine the VM would refuse to
+// boot, and a program no event stream can come from.
+func (w *Workload) checkMemory() error {
+	mem := w.MemWords
+	if mem <= 0 {
+		mem = vm.DefaultMemWords
+	}
+	end := w.Prog.DataBase + int64(len(w.Prog.Data))
+	if room := mem - int64(w.NumThreads)*w.StackWords; end > room {
+		return fmt.Errorf("workloads: %s data segment of %d words does not fit the %d its %d-word memory leaves beside %d thread stacks",
+			w.Name, end, room, mem, w.NumThreads)
+	}
+	return nil
 }
 
 // Reoptimized returns a copy of the workload whose program was recompiled

@@ -189,6 +189,51 @@ func BenchmarkServerIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkServerStream measures what a short stream costs the service
+// beyond its events: each op opens one witness-on queue-fixed stream
+// on a warm engine, replays its execution and closes it, so resolving
+// the workload, building (or reusing) the detector pair, classifying
+// and tearing down all land inside the op. Its allocs/op ceiling in
+// BENCH_BASELINE.json is the host-independent guard on per-stream
+// setup and garbage.
+func BenchmarkServerStream(b *testing.B) {
+	w, batches, events := recordColumns(b, "queue-fixed", 1)
+	h := wire.Hello{Version: wire.Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: 1, Witness: true}
+	e := server.New(server.Options{Shards: 1, QueueDepth: 24})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := e.Shutdown(ctx); err != nil {
+			b.Error(err)
+		}
+	}()
+	serve := func() {
+		st, err := e.OpenStream(h, "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, src := range batches {
+			eb := st.GetBatch()
+			eb.CopyFrom(src)
+			st.IngestBatch(eb)
+		}
+		if _, err := st.Close(); err != nil {
+			b.Error(err)
+		}
+	}
+	serve() // warm the batch pool and whatever the engine keeps between streams
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+	b.StopTimer()
+	total := float64(events) * float64(b.N)
+	if el := b.Elapsed().Seconds(); el > 0 {
+		b.ReportMetric(total/el, "events/sec")
+	}
+}
+
 // BenchmarkServerIngestSteady measures the per-batch ingest hop with
 // stream setup out of the loop: one long-lived stream, detector state
 // and buffer pools warmed by a full replay, then b.N replays through
