@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster|TestDigest|TestReportMerged|TestReset|TestShardReusesDetectors|TestSprayedStreamNotRetained|TestReusedStoreGauges|TestHostileScaleRefused|TestClearKeepsPagesZeroed|TestWindowMatchesReference' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/ ./internal/blockstore/
+	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster|TestDigest|TestReportMerged|TestReset|TestShardReusesDetectors|TestSprayedStreamNotRetained|TestReusedStoreGauges|TestHostileScaleRefused|TestClearKeepsPagesZeroed|TestWindowMatchesReference|TestVerdictGolden|TestColumnarContradictoryFlags|TestInterestDifferentialRegistry|TestCloneCarriesInterest|TestDecodeBoundsAddresses' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/ ./internal/blockstore/ ./internal/wire/
 
 vet:
 	$(GO) vet ./...
@@ -73,6 +73,12 @@ bench:
 # runs warm, so the guarded number reflects the steady state the
 # ns/instr claims are about rather than first-touch allocation.
 BENCH_GUARD = $(GO) test -run NONE -bench 'BenchmarkHotPath(SVD|FRD)Step(Threads|Witness|Zipf)?$$' -benchtime 8000000x -count 3 -benchmem .
+# The served step on the contended path: StepColumns over the forensic
+# benchmark's witness-on queue-fixed recordings. One op is a ~510-event
+# batch, so it runs as its own invocation: at BENCH_GUARD's op count it
+# would take minutes. 20000 batches is about 1.3 passes over the eight
+# recorded streams.
+BENCH_GUARD_CONTENDED = $(GO) test -run NONE -bench 'BenchmarkHotPathSVDColumnsContended$$' -benchtime 20000x -count 3 -benchmem .
 BENCH_GUARD_WIRE = $(GO) test -run NONE -bench 'BenchmarkWire(Encode|DecodeColumns)$$' -benchtime 200x -count 3 -benchmem .
 BENCH_GUARD_INGEST = $(GO) test -run NONE -bench 'BenchmarkServerIngest$$' -benchtime 5x -count 3 -benchmem .
 # The steady group runs TWICE: Journaled and Telemetry are bounded
@@ -94,14 +100,14 @@ BENCH_GUARD_STREAM = $(GO) test -run NONE -bench 'BenchmarkServerStream$$' -benc
 # all three attempts; a burst passes on a quieter retry.
 bench-guard:
 	@for i in 1 2 3; do \
-		if { $(BENCH_GUARD); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STREAM); } | $(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json; then \
+		if { $(BENCH_GUARD); $(BENCH_GUARD_CONTENDED); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STREAM); } | $(GO) run ./cmd/benchguard -baseline BENCH_BASELINE.json; then \
 			exit 0; \
 		fi; \
 		echo "bench-guard: attempt $$i failed"; \
 	done; echo "bench-guard: regression persisted across 3 attempts"; exit 1
 
 bench-baseline:
-	{ $(BENCH_GUARD); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STREAM); } | $(GO) run ./cmd/benchguard -record -baseline BENCH_BASELINE.json
+	{ $(BENCH_GUARD); $(BENCH_GUARD_CONTENDED); $(BENCH_GUARD_WIRE); $(BENCH_GUARD_INGEST); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STEADY); $(BENCH_GUARD_STREAM); } | $(GO) run ./cmd/benchguard -record -baseline BENCH_BASELINE.json
 
 # CPU profile of the single-thread SVD hot path, at the same op count
 # the guard uses. CI runs this next to bench-guard and uploads the

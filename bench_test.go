@@ -358,9 +358,9 @@ func zipfProgram() *isa.Program {
 
 // zipfEvents builds a synthetic stream whose addresses follow a Zipf law
 // over a 64Ki-word key space: a handful of hot words hammered in long
-// same-thread runs (the best case for the MRU block cache, the fanout
-// quiet cache, and sub-run coalescing) against a heavy cold tail that
-// misses every locality cache. Each run is 1..16 loads of one address by
+// same-thread runs (the best case for the MRU block cache and the
+// coherence filter) against a heavy cold tail that misses every
+// locality cache. Each run is 1..16 loads of one address by
 // one thread, closed by a store — the read-modify-write shape the
 // detectors exist to watch. flags stay opcode-consistent throughout, the
 // invariant the wire decoder enforces on served streams.
@@ -391,12 +391,13 @@ func zipfEvents(threads, n int, seed int64) []vm.Event {
 }
 
 // BenchmarkHotPathSVDStepZipf measures Step on the synthetic Zipf
-// stream: the skew concentrates work on a few contended blocks (deep
-// quiet-cache reuse, real fan-out on the stores) while the tail churns
-// the 2-entry caches. Together with BenchmarkHotPathSVDStep (the PgSQL
-// mix, mostly thread-private) this brackets the locality machinery from
-// both ends; the skips/instr metric reports how much fan-out the quiet
-// cache retires.
+// stream: the skew concentrates work on a few contended blocks (reads
+// that reach only read-reactive holders, real fan-out on the stores)
+// while the tail churns the 2-entry caches. Together with
+// BenchmarkHotPathSVDStep (the PgSQL mix, mostly thread-private) this
+// brackets the locality machinery from both ends; the skips/instr
+// metric reports how many peers the interest index and exclusive
+// claims spare.
 func BenchmarkHotPathSVDStepZipf(b *testing.B) {
 	const threads = 8
 	evs := zipfEvents(threads, 1<<20, 1)
@@ -424,6 +425,76 @@ func BenchmarkHotPathSVDStepZipf(b *testing.B) {
 	if st.Instructions > 0 {
 		b.ReportMetric(float64(st.RemoteSkipped)/float64(st.Instructions), "skips/instr")
 	}
+}
+
+// contendedRecordings records the witness-on served stream of the
+// forensic benchmark: queue-fixed at scale 1, seeds 1000-1007, each as
+// the columnar batches (Blocks column at shift 0) a served stream's
+// decoder hands the detectors.
+func contendedRecordings(b *testing.B) (*workloads.Workload, []*vm.EventBatch, int) {
+	b.Helper()
+	var w *workloads.Workload
+	var batches []*vm.EventBatch
+	events := 0
+	for seed := uint64(1000); seed < 1008; seed++ {
+		ws, err := workloads.ByName("queue-fixed", 1, seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if w == nil {
+			w = ws
+		}
+		m, err := ws.NewVM(seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.SetColumnBlockShift(0)
+		m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+			cp := vm.NewEventBatch(eb.Len())
+			cp.CopyFrom(eb)
+			batches = append(batches, cp)
+			events += eb.Len()
+		}))
+		if _, err := m.Run(1 << 24); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return w, batches, events
+}
+
+// BenchmarkHotPathSVDColumnsContended measures the step svdd runs on
+// the contended witness-on path: StepColumns over the forensic
+// benchmark's queue-fixed recordings, one batch per op, cycling through
+// all eight streams on one warm detector. ns/event is the figure to
+// read; ns/op is per batch. As in BenchmarkHotPathSVDStepZipf, the
+// violation cap is small and saturated during warm-up, so the timed
+// region measures stepping, not record growth.
+func BenchmarkHotPathSVDColumnsContended(b *testing.B) {
+	w, batches, events := contendedRecordings(b)
+	det := svd.New(w.Prog, w.NumThreads, svd.Options{Witness: true, MaxViolations: 256})
+	for _, eb := range batches {
+		det.StepColumns(eb)
+	}
+	if det.Stats().Violations < 256 {
+		b.Fatalf("warm-up reported %d violations, not enough to saturate the cap", det.Stats().Violations)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	stepped := 0
+	for i, k := 0, 0; i < b.N; i++ {
+		eb := batches[k]
+		det.StepColumns(eb)
+		stepped += eb.Len()
+		if k++; k == len(batches) {
+			k = 0
+		}
+	}
+	b.StopTimer()
+	if err := det.BatchErr(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(stepped), "ns/event")
+	b.ReportMetric(float64(events)/float64(len(batches)), "events/batch")
 }
 
 // BenchmarkHotPathSVDStepTelemetry measures the same stream with a

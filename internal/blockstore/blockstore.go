@@ -17,7 +17,10 @@
 // A store outlives one run: Clear empties it for the next while keeping
 // the pages it materialized, zeroed, for Ensure to hand out again, so a
 // detector reused across streams stops allocating (and collecting) its
-// block tables once warm.
+// block tables once warm. From its first Clear on, a store lists the
+// slots its caller names with Wrote, and the caller must name every
+// slot it writes: Clear then zeroes only those, so its cost follows what
+// the run touched rather than the pages it spread over.
 package blockstore
 
 import "unsafe"
@@ -52,9 +55,26 @@ type Store[T any] struct {
 	pages     [][]T
 	overflow  map[int64]*T
 
-	// spare holds zeroed pages detached by Clear; ensureSlow takes from
-	// it before allocating.
-	spare [][]T
+	// spare holds the zeroed pages Clear detached, each at the page
+	// index it served (nspare of them): ensureSlow takes the page back
+	// for the same index, so a run that touches the blocks the last one
+	// did finds their slots where Clear's zeroing left them in cache,
+	// and otherwise takes any spare (the next after scan) before
+	// allocating.
+	spare  [][]T
+	nspare int
+	scan   int
+
+	// From the first Clear on (listing; a store never cleared keeps no
+	// list): written lists the blocks Wrote named since the last Clear,
+	// npages counts the dense pages materialized since then, and over
+	// marks a list that outgrew its bound (a quarter of those pages'
+	// slots), past which Clear zeroes whole pages and Wrote stops
+	// recording.
+	listing bool
+	written []int64
+	npages  int
+	over    bool
 }
 
 // New builds an empty store.
@@ -118,7 +138,8 @@ func (s *Store[T]) ensureSlow(b int64) *T {
 				s.pages = grown
 			}
 			if s.pages[pi] == nil {
-				s.pages[pi] = s.newPage()
+				s.pages[pi] = s.newPage(pi)
+				s.npages++
 			}
 			return &s.pages[pi][b&s.mask]
 		}
@@ -134,15 +155,35 @@ func (s *Store[T]) ensureSlow(b int64) *T {
 	return v
 }
 
-// newPage returns a zeroed page: a spare one when Clear left any.
-func (s *Store[T]) newPage() []T {
-	if n := len(s.spare); n > 0 {
-		p := s.spare[n-1]
-		s.spare[n-1] = nil
-		s.spare = s.spare[:n-1]
+// newPage returns a zeroed page for page index pi: the spare Clear
+// detached from pi, else any spare, else a new one.
+func (s *Store[T]) newPage(pi int64) []T {
+	if s.nspare > 0 {
+		if pi >= int64(len(s.spare)) || s.spare[pi] == nil {
+			for s.spare[s.scan] == nil {
+				s.scan++
+			}
+			pi = int64(s.scan)
+		}
+		p := s.spare[pi]
+		s.spare[pi] = nil
+		s.nspare--
 		return p
 	}
 	return make([]T, 1<<s.pageShift)
+}
+
+// Wrote records that the caller wrote block b's slot, for Clear.
+// Naming a slot twice, or one already zero, is harmless.
+func (s *Store[T]) Wrote(b int64) {
+	if !s.listing || s.over {
+		return
+	}
+	if len(s.written) >= s.npages<<s.pageShift>>2 {
+		s.over = true
+		return
+	}
+	s.written = append(s.written, b)
 }
 
 // Delete clears block b's slot back to the zero T (dense) or removes its
@@ -190,31 +231,53 @@ func (s *Store[T]) Range(f func(b int64, v *T) bool) {
 func (s *Store[T]) Reset() {
 	s.pages = nil
 	s.overflow = nil
-	s.spare = nil
+	s.spare, s.nspare, s.scan = nil, 0, 0
+	s.written, s.npages, s.over, s.listing = nil, 0, false, false
 }
 
 // Clear empties the store like Reset but keeps its pages: each
 // materialized page is zeroed and detached, so Lookup answers nil for
 // every block again and PageStats counts only what is materialized
 // after the clear, while Ensure reuses the detached pages before it
-// allocates. Only pages materialized since the last Clear are zeroed.
-// Overflow entries are dropped.
+// allocates. Only pages materialized since the last Clear are zeroed,
+// and only the slots Wrote named when the list stayed within its bound;
+// a first Clear zeroes whole pages. Overflow entries are dropped.
 func (s *Store[T]) Clear() {
+	whole := !s.listing || s.over
+	if !whole {
+		var zero T
+		for _, b := range s.written {
+			if pi := b >> s.pageShift; b >= 0 && pi < int64(len(s.pages)) {
+				if p := s.pages[pi]; p != nil {
+					p[b&s.mask] = zero
+				}
+			}
+		}
+	}
+	if len(s.spare) < len(s.pages) {
+		s.spare = append(s.spare, make([][]T, len(s.pages)-len(s.spare))...)
+	}
 	for pi, p := range s.pages {
 		if p != nil {
-			clear(p)
-			s.spare = append(s.spare, p)
+			if whole {
+				clear(p)
+			}
+			// Free: a page takes its index's spare when it materializes.
+			s.spare[pi] = p
+			s.nspare++
 			s.pages[pi] = nil
 		}
 	}
+	s.scan = 0
 	s.overflow = nil
+	s.written, s.npages, s.over, s.listing = s.written[:0], 0, false, true
 }
 
 // heldPages reports the dense pages the store holds: materialized ones
 // plus the spares Clear kept for reuse.
 func (s *Store[T]) heldPages() int {
 	_, pages, _ := s.PageStats()
-	return pages + len(s.spare)
+	return pages + s.nspare
 }
 
 // HeldBytes reports the memory of the dense pages the store holds —

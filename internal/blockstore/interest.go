@@ -20,7 +20,9 @@ import "math/bits"
 // state is the same no-op it always was — but a missing member would
 // silently drop a conflict. Maintainers are the materialization points
 // (svd ensureBlock, frd read-epoch installation) and the teardown points
-// (svd evictBlock in hardware mode, frd write invalidation).
+// (svd evictBlock in hardware mode, frd write invalidation). Each entry
+// also carries a Marked subset of its members that the detector defines;
+// SVD keeps its read-reactive holders there (DESIGN.md §8).
 
 // ThreadSet is a compact set of thread ids attached to one block. Ids
 // 0..63 are tracked precisely as bits; ids >= 64 fold into a shared
@@ -107,73 +109,80 @@ func (s ThreadSet) ForEach(exclude, numThreads int, f func(tid int)) {
 	}
 }
 
-// Interest is the global block interest index: one ThreadSet per block,
+// Interest is the global block interest index: one Entry per block,
 // stored in the same paged flat layout as the per-thread metadata so the
 // per-access lookup is array indexing. One Interest is shared by all
 // thread instances of a detector; it is not safe for concurrent use (the
 // detectors are single-goroutine per sample, like the rest of their
-// state).
+// state). Clear zeroes only the entries the run created.
 type Interest struct {
-	store *Store[ThreadSet]
+	store *Store[Entry]
+}
 
-	// gen counts membership mutations. Consumers caching a (block →
-	// ThreadSet) pair compare generations instead of re-probing the store:
-	// a matching generation proves no Add/Remove ran since the set was
-	// read, so the cached copy is still the set the store would return.
-	gen uint64
+// Entry is one block's interest record: the threads holding state for
+// it, and Marked, a subset of those members below 64 that the detector
+// defines and maintains itself (SVD keeps the holders a remote read can
+// still change there). Add never sets a Marked bit; Remove clears the
+// member's.
+type Entry struct {
+	Holders ThreadSet
+	Marked  uint64
 }
 
 // NewInterest builds an empty index.
 func NewInterest(opts Options) *Interest {
-	return &Interest{store: New[ThreadSet](opts)}
+	return &Interest{store: New[Entry](opts)}
 }
 
-// Add records tid's interest in block b.
-func (ix *Interest) Add(b int64, tid int) {
-	ix.gen++
-	ix.store.Ensure(b).Add(tid)
+// Add records tid's interest in block b and returns the members b had
+// before it.
+func (ix *Interest) Add(b int64, tid int) (prior ThreadSet) {
+	e := ix.store.Ensure(b)
+	prior = e.Holders
+	if prior.Empty() {
+		ix.store.Wrote(b)
+	}
+	e.Holders.Add(tid)
+	return prior
 }
 
 // Remove drops tid's interest in block b.
 func (ix *Interest) Remove(b int64, tid int) {
-	ix.gen++
-	if s := ix.store.Lookup(b); s != nil {
-		s.Remove(tid)
+	if e := ix.store.Lookup(b); e != nil {
+		e.Holders.Remove(tid)
+		if tid < 64 {
+			e.Marked &^= 1 << uint(tid)
+		}
 	}
 }
 
 // Clear drops every membership, keeping the index's pages for reuse
-// (Store.Clear). The generation advances, never rewinds, so a set cached
-// before the clear can never pass for a current one.
-func (ix *Interest) Clear() {
-	ix.gen++
-	ix.store.Clear()
-}
+// (Store.Clear).
+func (ix *Interest) Clear() { ix.store.Clear() }
 
 // HeldBytes reports the memory the index's pages hold, spares included.
 func (ix *Interest) HeldBytes() int { return ix.store.HeldBytes() }
 
-// Gen returns the mutation generation. Any Add or Remove changes it, so
-// equal generations bracket an interval over which every cached Get
-// result is still exact.
-func (ix *Interest) Gen() uint64 { return ix.gen }
-
 // Get returns block b's interest set by value (the empty set for blocks
 // never recorded).
 func (ix *Interest) Get(b int64) ThreadSet {
-	if s := ix.store.Lookup(b); s != nil {
-		return *s
+	if e := ix.store.Lookup(b); e != nil {
+		return e.Holders
 	}
 	return ThreadSet{}
 }
+
+// Entry returns block b's record for in-place use, or nil when no block
+// of its page was ever recorded. The pointer stays valid until Clear.
+func (ix *Interest) Entry(b int64) *Entry { return ix.store.Lookup(b) }
 
 // Population returns the total membership across all blocks — the index's
 // size in (thread, block) pairs. Leak checks compare it against the
 // detectors' own touched-block accounting.
 func (ix *Interest) Population() int {
 	total := 0
-	ix.store.Range(func(_ int64, s *ThreadSet) bool {
-		total += s.Len()
+	ix.store.Range(func(_ int64, e *Entry) bool {
+		total += e.Holders.Len()
 		return true
 	})
 	return total

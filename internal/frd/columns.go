@@ -3,19 +3,18 @@ package frd
 import (
 	"fmt"
 
+	"repro/internal/isa"
 	"repro/internal/vm"
 )
 
 // StepColumns processes one columnar batch (vm.ColumnObserver),
-// bit-identical to per-event Step on the equivalent rows. The happens-before
-// detector only looks at memory operations, and the columnar form makes
-// the skip cheap: rows whose flags carry neither load nor store are
-// rejected on the flags column alone — one byte test, no program
-// indexing, no Event materialized. The opcode test stays behind it as
-// the authoritative filter: the flags byte and the opcode agree on
-// every row the VM emits and the validating wire decoder (which
-// enforces the per-PC flag class, see wire.Deframer) lets through, so
-// the pre-skip never rejects a row the opcode test would keep.
+// bit-identical to per-event Step on the equivalent rows, for any
+// batch. The happens-before detector only looks at data accesses: rows
+// whose opcode is a memory operation and whose flags carry a load or
+// store bit, the rule per-event Step applies too. The columnar form
+// makes the skip cheap: rows whose flags carry neither bit are rejected
+// on the flags column alone — one byte test, no program indexing, no
+// Event materialized — and the opcode test follows.
 //
 // Bounds checks on PC are hoisted out of the row loop exactly as in
 // svd.StepColumns: one OR-fold proves every PC in range before any row
@@ -23,7 +22,9 @@ import (
 // a vm.ErrBadBatch; later batches are dropped) instead of half-applying.
 //
 // Block ids come from the batch's Blocks column when its shift matches
-// ours, skipping the per-row shift the producer already paid for.
+// ours, skipping the per-row shift the producer already paid for. No
+// vm.Event is built: a data row's fields travel as an access value, as
+// in svd.StepColumns.
 func (d *Detector) StepColumns(eb *vm.EventBatch) {
 	if d.batchErr != nil {
 		return
@@ -48,34 +49,25 @@ func (d *Detector) StepColumns(eb *vm.EventBatch) {
 	if s, on := eb.BlockShift(); !on || s != shift {
 		blocks = nil
 	}
-	// Materialized in place per memory row; hoisted for the same reason
-	// as svd.StepColumns — overwriting one stack slot beats building a
-	// fresh ~72-byte struct through a temporary on every row.
-	var ev vm.Event
 	for k := 0; k < n; k++ {
 		flags := eb.Flags[k]
 		if flags&(vm.FlagLoad|vm.FlagStore) == 0 {
 			continue
 		}
 		pc := eb.PC[k]
-		in := code[pc]
-		if !in.Op.IsMem() {
+		op := code[pc].Op
+		if !op.IsMem() {
 			continue
 		}
-		ev.Seq = eb.Seq[k]
-		ev.CPU = int(eb.CPU[k])
-		ev.PC = pc
-		ev.Instr = in
-		ev.Addr = eb.Addr[k]
-		ev.IsLoad = flags&vm.FlagLoad != 0
-		ev.IsStore = flags&vm.FlagStore != 0
-		ev.Taken = flags&vm.FlagTaken != 0
 		var b int64
 		if blocks != nil {
 			b = blocks[k]
 		} else {
-			b = ev.Addr >> shift
+			b = eb.Addr[k] >> shift
 		}
-		d.stepMem(&ev, b)
+		d.stepMem(access{
+			seq: eb.Seq[k], pc: pc, cpu: int(eb.CPU[k]),
+			load: flags&vm.FlagLoad != 0, store: flags&vm.FlagStore != 0, cas: op == isa.OpCas,
+		}, b)
 	}
 }

@@ -20,6 +20,7 @@ package frd
 
 import (
 	"fmt"
+	"math"
 	mathbits "math/bits"
 	"sort"
 	"unsafe"
@@ -222,8 +223,13 @@ type Detector struct {
 	batchErr error
 }
 
-// New builds a detector for prog across numCPUs processors.
+// New builds a detector for prog across numCPUs processors. It panics
+// on a program of 2^31 or more instructions, whose PCs the access rings
+// could not hold, as svd.New does.
 func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
+	if len(prog.Code) > math.MaxInt32 {
+		panic(fmt.Sprintf("frd: program %q has %d instructions, more than 2^31-1", prog.Name, len(prog.Code)))
+	}
 	d := &Detector{
 		prog:     prog,
 		opts:     opts.withDefaults(),
@@ -241,7 +247,7 @@ func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
 	if d.opts.Witness {
 		d.rings = make([]*obs.AccessRing, numCPUs)
 		for i := range d.rings {
-			d.rings[i] = obs.NewAccessRing(d.opts.WitnessRing)
+			d.rings[i] = obs.NewAccessRing(d.opts.WitnessRing, i)
 		}
 	}
 	d.annotateSync()
@@ -257,8 +263,9 @@ func (d *Detector) annotateSync() {
 
 // Reset discards all detector state; afterwards the detector behaves
 // exactly like New with the same program, thread count and options. It
-// clears in place, as svd.Detector.Reset does: block pages are zeroed
-// and kept, vector clocks and rings rewind, and the witness groups and
+// clears in place, as svd.Detector.Reset does: block pages are kept
+// after zeroing only the blocks the run touched, vector clocks and
+// rings rewind, and the witness groups and
 // AllWitnesses slices are dropped, never reused, because samples and
 // journal anchors may still hold them; the storage behind Races is
 // reused.
@@ -351,8 +358,10 @@ func (d *Detector) blockInfo(b int64) *blockInfo {
 	bi := d.blocks.Ensure(b)
 	if bi.reads == nil {
 		// Flat pages materialize zero-valued slots; the per-CPU read
-		// epochs are attached on a block's first real access.
+		// epochs are attached on a block's first real access, which is
+		// also the one write Reset's listed clear must undo.
 		bi.reads = d.newReads()
+		d.blocks.Wrote(b)
 	}
 	return bi
 }
@@ -411,35 +420,50 @@ func (d *Detector) Step(ev *vm.Event) {
 	d.step(ev)
 }
 
+// step admits a row as a data access when its opcode is a memory
+// operation and it carries a load or store flag — the rule StepColumns
+// applies too, flags first, so that the columnar path can drop other
+// rows on the flags column without indexing the program.
 func (d *Detector) step(ev *vm.Event) {
-	in := ev.Instr
-	if !in.Op.IsMem() {
+	if !ev.Instr.Op.IsMem() || !ev.IsLoad && !ev.IsStore {
 		return
 	}
-	d.stepMem(ev, ev.Addr>>d.opts.BlockShift)
+	d.stepMem(access{seq: ev.Seq, pc: ev.PC, cpu: ev.CPU, load: ev.IsLoad, store: ev.IsStore, cas: ev.Instr.Op == isa.OpCas},
+		ev.Addr>>d.opts.BlockShift)
+}
+
+// access is one data access as the detector sees it: the row's
+// sequence number, PC and thread, its load and store flags, and
+// whether a compare-and-swap made it. The columnar path fills it from
+// the batch columns and per-event Step from its Event.
+type access struct {
+	seq              uint64
+	pc               int64
+	cpu              int
+	load, store, cas bool
 }
 
 // stepMem processes one memory access whose block id the caller already
 // holds — computed here on the per-event path, read from the batch's
 // Blocks column on the columnar one.
-func (d *Detector) stepMem(ev *vm.Event, b int64) {
+func (d *Detector) stepMem(a access, b int64) {
 	bi := d.blockInfoCached(b)
 
 	// Automatic annotation: a block touched by CAS is a lock word.
-	if ev.Instr.Op == isa.OpCas && !bi.isSync {
+	if a.cas && !bi.isSync {
 		bi.isSync = true
 	}
 	if bi.isSync {
-		d.syncAccess(ev, bi)
+		d.syncAccess(a, bi)
 		return
 	}
-	if ev.IsLoad {
+	if a.load {
 		d.stats.Loads++
-		d.read(ev, b, bi)
+		d.read(a, b, bi)
 	}
-	if ev.IsStore {
+	if a.store {
 		d.stats.Stores++
-		d.write(ev, b, bi)
+		d.write(a, b, bi)
 	}
 }
 
@@ -447,13 +471,13 @@ func (d *Detector) stepMem(ev *vm.Event, b int64) {
 // (join the block's release clock into the thread), writing one is a
 // release (publish the thread's clock), and either way the access is not a
 // data access.
-func (d *Detector) syncAccess(ev *vm.Event, bi *blockInfo) {
+func (d *Detector) syncAccess(a access, bi *blockInfo) {
 	d.stats.SyncOps++
-	t := ev.CPU
-	if ev.IsLoad {
+	t := a.cpu
+	if a.load {
 		d.vc[t].join(bi.releaseVC)
 	}
-	if ev.IsStore {
+	if a.store {
 		if bi.releaseVC == nil {
 			bi.releaseVC = newVClock(d.numCPUs)
 		}
@@ -462,24 +486,24 @@ func (d *Detector) syncAccess(ev *vm.Event, bi *blockInfo) {
 	}
 }
 
-func (d *Detector) read(ev *vm.Event, b int64, bi *blockInfo) {
-	t := ev.CPU
+func (d *Detector) read(a access, b int64, bi *blockInfo) {
+	t := a.cpu
 	if bi.write.valid && bi.writeCPU != t && bi.write.clock > d.vc[t][bi.writeCPU] {
-		d.report(b, bi.write, bi.writeCPU, true, ev, false)
+		d.report(b, bi.write, bi.writeCPU, true, a, false)
 	}
 	if d.useIndex && !bi.reads[t].valid {
 		bi.readers.Add(t)
 	}
-	bi.reads[t] = epoch{clock: d.vc[t][t], pc: ev.PC, seq: ev.Seq, valid: true}
+	bi.reads[t] = epoch{clock: d.vc[t][t], pc: a.pc, seq: a.seq, valid: true}
 	if d.rings != nil {
-		d.rings[t].Add(obs.WitnessAccess{CPU: t, PC: ev.PC, Block: b, Seq: ev.Seq})
+		d.rings[t].Add(a.pc, b, false, a.seq, 0)
 	}
 }
 
-func (d *Detector) write(ev *vm.Event, b int64, bi *blockInfo) {
-	t := ev.CPU
+func (d *Detector) write(a access, b int64, bi *blockInfo) {
+	t := a.cpu
 	if bi.write.valid && bi.writeCPU != t && bi.write.clock > d.vc[t][bi.writeCPU] {
-		d.report(b, bi.write, bi.writeCPU, true, ev, true)
+		d.report(b, bi.write, bi.writeCPU, true, a, true)
 	}
 	peers := uint64(d.numCPUs - 1)
 	if d.useIndex {
@@ -492,7 +516,7 @@ func (d *Detector) write(ev *vm.Event, b int64, bi *blockInfo) {
 			cpu := mathbits.TrailingZeros64(rest)
 			r := bi.reads[cpu]
 			if r.valid && cpu != t && r.clock > d.vc[t][cpu] {
-				d.report(b, r, cpu, false, ev, true)
+				d.report(b, r, cpu, false, a, true)
 			}
 			bi.reads[cpu].valid = false
 			if cpu != t {
@@ -503,7 +527,7 @@ func (d *Detector) write(ev *vm.Event, b int64, bi *blockInfo) {
 			for cpu := 64; cpu < d.numCPUs; cpu++ {
 				r := bi.reads[cpu]
 				if r.valid && cpu != t && r.clock > d.vc[t][cpu] {
-					d.report(b, r, cpu, false, ev, true)
+					d.report(b, r, cpu, false, a, true)
 				}
 				bi.reads[cpu].valid = false
 				if cpu != t {
@@ -518,7 +542,7 @@ func (d *Detector) write(ev *vm.Event, b int64, bi *blockInfo) {
 		for cpu := range bi.reads {
 			r := bi.reads[cpu]
 			if r.valid && cpu != t && r.clock > d.vc[t][cpu] {
-				d.report(b, r, cpu, false, ev, true)
+				d.report(b, r, cpu, false, a, true)
 			}
 		}
 		// The new write supersedes previous reads as the frontier of this
@@ -528,10 +552,10 @@ func (d *Detector) write(ev *vm.Event, b int64, bi *blockInfo) {
 		}
 		d.stats.RemoteSent += peers
 	}
-	bi.write = epoch{clock: d.vc[t][t], pc: ev.PC, seq: ev.Seq, valid: true}
+	bi.write = epoch{clock: d.vc[t][t], pc: a.pc, seq: a.seq, valid: true}
 	bi.writeCPU = t
 	if d.rings != nil {
-		d.rings[t].Add(obs.WitnessAccess{CPU: t, PC: ev.PC, Block: b, Write: true, Seq: ev.Seq})
+		d.rings[t].Add(a.pc, b, true, a.seq, 0)
 	}
 }
 
@@ -546,10 +570,10 @@ func (d *Detector) FlushObs() {
 	d.rec.ObserveRemote(d.stats.RemoteSent, d.stats.RemoteSkipped)
 }
 
-func (d *Detector) report(b int64, first epoch, firstCPU int, firstWr bool, ev *vm.Event, secondWr bool) {
+func (d *Detector) report(b int64, first epoch, firstCPU int, firstWr bool, a access, secondWr bool) {
 	d.stats.Races++
 	if r := d.rec; r != nil {
-		r.Race(d.stats.Instructions, ev.CPU, ev.PC, b)
+		r.Race(d.stats.Instructions, a.cpu, a.pc, b)
 	}
 	r := Race{
 		Block:     b,
@@ -557,9 +581,9 @@ func (d *Detector) report(b int64, first epoch, firstCPU int, firstWr bool, ev *
 		FirstCPU:  firstCPU,
 		FirstSeq:  first.seq,
 		FirstWr:   firstWr,
-		SecondPC:  ev.PC,
-		SecondCPU: ev.CPU,
-		SecondSeq: ev.Seq,
+		SecondPC:  a.pc,
+		SecondCPU: a.cpu,
+		SecondSeq: a.seq,
 		SecondWr:  secondWr,
 	}
 	key := SiteKey{PCLow: r.FirstPC, PCHigh: r.SecondPC}

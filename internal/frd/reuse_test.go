@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -73,7 +74,9 @@ func outputsOf(d *Detector) frdOutputs {
 // detector — never rebuilt — runs a foreign execution folded into its
 // program and another execution of its own, is reset, and must then
 // match a new detector on the target execution at every chop. A
-// SyncBlocks annotation rides along, so Reset must re-apply it.
+// SyncBlocks annotation rides along, so Reset must re-apply it. Then
+// the proportional clear, as svd's TestResetMatchesFresh sprays it: the
+// records the store holds must match a new detector's too.
 func TestResetMatchesFresh(t *testing.T) {
 	names := workloads.Names()
 	type recording struct {
@@ -109,4 +112,57 @@ func TestResetMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+	// The proportional clear, as in svd's: a whole-page spray, then three
+	// blocks of one page on another thread, each reset away.
+	for i, rec := range recs {
+		w, codeLen := rec.w, len(rec.w.Prog.Code)
+		opts := Options{Witness: true, SyncBlocks: []int64{int64(i)}}
+		reused := New(w.Prog, w.NumThreads, opts)
+		stepChopped(reused, spray(t, w, 0, 0, 1, 8<<9), 0, codeLen)
+		reused.Reset()
+		stepChopped(reused, spray(t, w, 1, 3<<9+5, 7, 3), 0, codeLen)
+		reused.Reset()
+		stepChopped(reused, rec.target, vm.DefaultBatchCap, codeLen)
+		fresh := New(w.Prog, w.NumThreads, opts)
+		stepChopped(fresh, rec.target, vm.DefaultBatchCap, codeLen)
+		if got, want := outputsOf(reused), outputsOf(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after sprays: reset detector diverges from a new one\ngot  %+v\nwant %+v", w.Name, got.Stats, want.Stats)
+		}
+		if got, want := heldBlocks(reused), heldBlocks(fresh); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after sprays: reset detector holds %d block records, a new one %d", w.Name, len(got), len(want))
+		}
+	}
+}
+
+// spray returns n store rows by thread cpu at addresses from, from+stride,
+// ..., at the first store PC of w's program.
+func spray(t *testing.T, w *workloads.Workload, cpu int32, from, stride int64, n int) *vm.EventBatch {
+	t.Helper()
+	pc := int64(-1)
+	for i, in := range w.Prog.Code {
+		if in.Op == isa.OpStore {
+			pc = int64(i)
+			break
+		}
+	}
+	if pc < 0 {
+		t.Fatalf("%s has no store", w.Name)
+	}
+	eb := vm.NewEventBatch(n)
+	for i := 0; i < n; i++ {
+		eb.AppendRaw(uint64(i+1), cpu, pc, vm.FlagStore, from+int64(i)*stride)
+	}
+	return eb
+}
+
+// heldBlocks lists the blocks whose records d's store holds non-empty.
+func heldBlocks(d *Detector) []int64 {
+	var out []int64
+	d.blocks.Range(func(b int64, bi *blockInfo) bool {
+		if bi.reads != nil || bi.isSync || bi.write.valid {
+			out = append(out, b)
+		}
+		return true
+	})
+	return out
 }

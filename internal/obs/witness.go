@@ -105,27 +105,40 @@ const DefaultWitnessRing = 64
 // AccessRing is a bounded ring of one thread's recent memory accesses —
 // the flight-recorder buffer behind witness windows. Appends overwrite
 // the oldest entry once the ring is full; the zero-size ring is invalid
-// (use NewAccessRing).
+// (use NewAccessRing). It keeps a compact entry per access: the thread
+// is the ring's owner, and the PC fits 32 bits (both detectors refuse a
+// program of 2^31 or more instructions). Entries expand back to
+// WitnessAccess values only when a snapshot or window is built.
 type AccessRing struct {
-	buf  []WitnessAccess
+	buf  []ringEntry
+	cpu  int  // owner: the CPU every entry belongs to
 	next int  // slot the next Add writes
 	full bool // every slot holds an access
 }
 
-// NewAccessRing builds a ring holding the last size accesses (size <= 0
-// selects DefaultWitnessRing).
-func NewAccessRing(size int) *AccessRing {
+// ringEntry is one retained access; 32 bytes against WitnessAccess's 48.
+type ringEntry struct {
+	seq   uint64
+	block int64
+	cu    uint64
+	pc    int32
+	write bool
+}
+
+// NewAccessRing builds a ring holding thread cpu's last size accesses
+// (size <= 0 selects DefaultWitnessRing).
+func NewAccessRing(size, cpu int) *AccessRing {
 	if size <= 0 {
 		size = DefaultWitnessRing
 	}
-	return &AccessRing{buf: make([]WitnessAccess, size)}
+	return &AccessRing{buf: make([]ringEntry, size), cpu: cpu}
 }
 
-// Add records one access, evicting the oldest when full. The write
-// index wraps with a compare, not a divide: Add runs on every recorded
-// load and store of a witness-on stream.
-func (r *AccessRing) Add(a WitnessAccess) {
-	r.buf[r.next] = a
+// Add records one access of the ring's owner, evicting the oldest when
+// full. The write index wraps with a compare, not a divide: Add runs on
+// every recorded load and store of a witness-on stream.
+func (r *AccessRing) Add(pc, block int64, write bool, seq, cu uint64) {
+	r.buf[r.next] = ringEntry{seq: seq, block: block, cu: cu, pc: int32(pc), write: write}
 	r.next++
 	if r.next == len(r.buf) {
 		r.next, r.full = 0, true
@@ -144,13 +157,18 @@ func (r *AccessRing) span() (oldest, n int) {
 	return 0, r.next
 }
 
-// at returns the i-th retained access counting from the one in slot
+// at returns the i-th retained entry counting from the one in slot
 // oldest.
-func (r *AccessRing) at(oldest, i int) *WitnessAccess {
+func (r *AccessRing) at(oldest, i int) *ringEntry {
 	if i += oldest; i >= len(r.buf) {
 		i -= len(r.buf)
 	}
 	return &r.buf[i]
+}
+
+// access expands entry e of the ring to the WitnessAccess it records.
+func (r *AccessRing) access(e *ringEntry) WitnessAccess {
+	return WitnessAccess{CPU: r.cpu, PC: int64(e.pc), Block: e.block, Write: e.write, Seq: e.seq, CU: e.cu}
 }
 
 // Snapshot appends the retained accesses with Seq <= maxSeq to out in
@@ -161,8 +179,8 @@ func (r *AccessRing) Snapshot(maxSeq uint64, out []WitnessAccess) []WitnessAcces
 	}
 	oldest, n := r.span()
 	for i := 0; i < n; i++ {
-		if a := r.at(oldest, i); a.Seq <= maxSeq {
-			out = append(out, *a)
+		if e := r.at(oldest, i); e.seq <= maxSeq {
+			out = append(out, r.access(e))
 		}
 	}
 	return out
@@ -184,12 +202,12 @@ func newRingCursor(r *AccessRing, maxSeq uint64) ringCursor {
 	return c
 }
 
-// peek returns the cursor's next access without consuming it; nil when
+// peek returns the cursor's next entry without consuming it; nil when
 // the cursor is exhausted.
-func (c *ringCursor) peek() *WitnessAccess {
+func (c *ringCursor) peek() *ringEntry {
 	for ; c.i < c.n; c.i++ {
-		if a := c.r.at(c.oldest, c.i); a.Seq <= c.maxSeq {
-			return a
+		if e := c.r.at(c.oldest, c.i); e.seq <= c.maxSeq {
+			return e
 		}
 	}
 	return nil
@@ -224,13 +242,14 @@ func Window(a, b *AccessRing, maxSeq uint64, max int, last, conflict WitnessAcce
 	out := make([]WitnessAccess, 1, 2+total-skip)
 	for {
 		x, y := ca.peek(), cb.peek()
-		var next *WitnessAccess
+		var next *ringEntry
+		from := a
 		switch {
-		case x != nil && (y == nil || x.Seq <= y.Seq):
+		case x != nil && (y == nil || x.seq <= y.seq):
 			next = x
 			ca.i++
 		case y != nil:
-			next = y
+			next, from = y, b
 			cb.i++
 		}
 		if next == nil {
@@ -240,7 +259,7 @@ func Window(a, b *AccessRing, maxSeq uint64, max int, last, conflict WitnessAcce
 			skip--
 			continue
 		}
-		out = append(out, *next)
+		out = append(out, from.access(next))
 	}
 	out = append(out, last)
 	for i := 1; i < len(out); i++ {

@@ -11,10 +11,13 @@ func acc(cpu int, seq uint64, block int64, write bool) WitnessAccess {
 	return WitnessAccess{CPU: cpu, PC: int64(seq) * 10, Block: block, Write: write, Seq: seq}
 }
 
+// add records a on r, whose owner must be a.CPU.
+func add(r *AccessRing, a WitnessAccess) { r.Add(a.PC, a.Block, a.Write, a.Seq, a.CU) }
+
 func TestAccessRingWrapsAndSnapshots(t *testing.T) {
-	r := NewAccessRing(4)
+	r := NewAccessRing(4, 0)
 	for i := uint64(1); i <= 10; i++ {
-		r.Add(acc(0, i, int64(i), false))
+		add(r, acc(0, i, int64(i), false))
 	}
 	got := r.Snapshot(^uint64(0), nil)
 	if len(got) != 4 {
@@ -34,7 +37,7 @@ func TestAccessRingWrapsAndSnapshots(t *testing.T) {
 	if got := r.Snapshot(^uint64(0), nil); got != nil || len(r.buf) != 4 {
 		t.Errorf("snapshot after Reset = %+v", got)
 	}
-	r.Add(acc(0, 11, 1, false))
+	add(r, acc(0, 11, 1, false))
 	if got := r.Snapshot(^uint64(0), nil); len(got) != 1 || got[0].Seq != 11 {
 		t.Errorf("snapshot after Reset and Add = %+v", got)
 	}
@@ -44,7 +47,7 @@ func TestAccessRingWrapsAndSnapshots(t *testing.T) {
 		t.Errorf("nil ring snapshot = %+v", got)
 	}
 	// Zero size falls back to the default.
-	if r := NewAccessRing(0); len(r.buf) != DefaultWitnessRing {
+	if r := NewAccessRing(0, 0); len(r.buf) != DefaultWitnessRing {
 		t.Errorf("default ring size = %d", len(r.buf))
 	}
 }
@@ -98,7 +101,7 @@ func TestWindowMatchesReference(t *testing.T) {
 	for size := 1; size <= 9; size += 2 {
 		for fillA := 0; fillA <= 2*size+1; fillA++ {
 			for _, withB := range []bool{false, true} {
-				a, b := NewAccessRing(size), NewAccessRing(size)
+				a, b := NewAccessRing(size, 0), NewAccessRing(size, 1)
 				seq := uint64(0)
 				for i := 0; i < fillA || (withB && i < fillA+int(next(5))); i++ {
 					seq += 1 + next(3)
@@ -107,10 +110,10 @@ func TestWindowMatchesReference(t *testing.T) {
 						s -= next(seq) // out of order
 					}
 					if i < fillA {
-						a.Add(acc(0, s, int64(next(4)), next(2) == 0))
+						add(a, acc(0, s, int64(next(4)), next(2) == 0))
 					}
 					if withB && next(2) == 0 {
-						b.Add(acc(1, s+1, int64(next(4)), true))
+						add(b, acc(1, s+1, int64(next(4)), true))
 					}
 				}
 				var rb *AccessRing

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/frd"
+	"repro/internal/isa"
 	"repro/internal/svd"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -130,5 +131,62 @@ func TestColumnarDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestColumnarContradictoryFlags: rows whose flags contradict their
+// opcode — a load without its load flag, an ALU row carrying one, a
+// compare-and-swap with no flags at all — reach the detectors only from
+// direct API callers (the VM never emits them and the decoder's flag
+// classes reject them), but StepColumns must still treat them exactly
+// as per-event Step does. Two threads, seven rows, both detectors.
+func TestColumnarContradictoryFlags(t *testing.T) {
+	r8, r9, r10 := isa.Reg(8), isa.Reg(9), isa.Reg(10)
+	prog := &isa.Program{Name: "contradictory-flags", Code: []isa.Instr{
+		isa.Load(r8, isa.RegZero, 0),
+		isa.Store(r8, isa.RegZero, 0),
+		isa.Cas(r8, isa.RegZero, r9, r10),
+		isa.ALU(isa.OpAdd, r8, r8, r9),
+		isa.Halt(),
+	}}
+	rows := []struct {
+		cpu   int32
+		pc    int64
+		flags uint8
+		addr  int64
+	}{
+		{0, 0, vm.FlagLoad, 10}, // plain load
+		{1, 0, 0, 10},           // load without its flag
+		{1, 3, vm.FlagLoad, 10}, // ALU row with a load flag
+		{0, 2, 0, 20},           // CAS without flags
+		{1, 0, vm.FlagLoad, 20},
+		{0, 1, vm.FlagStore, 20},
+		{1, 1, vm.FlagStore, 20},
+	}
+	eb := vm.NewEventBatch(len(rows))
+	for i, r := range rows {
+		eb.AppendRaw(uint64(i+1), r.cpu, r.pc, r.flags, r.addr)
+	}
+	evs := eb.AppendEvents(nil, prog.Code)
+
+	sd, fd := svd.New(prog, 2, svd.Options{}), frd.New(prog, 2, frd.Options{})
+	for i := range evs {
+		sd.Step(&evs[i])
+		fd.Step(&evs[i])
+	}
+	csd, cfd := svd.New(prog, 2, svd.Options{}), frd.New(prog, 2, frd.Options{})
+	csd.StepColumns(eb)
+	cfd.StepColumns(eb)
+	if got, want := csd.Stats(), sd.Stats(); got != want {
+		t.Errorf("svd stats diverge:\ncolumns %+v\nstep    %+v", got, want)
+	}
+	if !reflect.DeepEqual(csd.Violations(), sd.Violations()) || !reflect.DeepEqual(csd.Log(), sd.Log()) {
+		t.Error("svd reports diverge")
+	}
+	if got, want := cfd.Stats(), fd.Stats(); got != want {
+		t.Errorf("frd stats diverge:\ncolumns %+v\nstep    %+v", got, want)
+	}
+	if !reflect.DeepEqual(cfd.Races(), fd.Races()) {
+		t.Errorf("frd races diverge:\ncolumns %+v\nstep    %+v", cfd.Races(), fd.Races())
 	}
 }

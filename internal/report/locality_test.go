@@ -10,14 +10,12 @@ import (
 	"repro/internal/vm"
 )
 
-// Adversarial locality streams. The hot path carries three layers of
-// locality caching — the per-thread MRU block cache, the per-thread
-// fanout interest cache with its quiet fast path, and the batch-level
-// same-block sub-run coalescing in StepColumns — and each is exactly
-// the kind of state that can silently diverge from the per-event path
-// on a pathological access pattern. The streams here are built to sit
-// on those edges: a single block hammered hard (maximal quiet-skip
-// coalescing), two blocks ping-ponged (the 2-entry caches' promote
+// Adversarial locality streams. The hot path carries per-access state
+// that a pathological pattern could drive apart from the per-event path:
+// the per-thread MRU block cache, and the coherence filter's exclusive
+// claims and read-reactive sets (DESIGN.md §8). The streams here are
+// built to sit on those edges: a single block hammered hard (claims and
+// skipped deliveries at their most frequent), two blocks ping-ponged (the 2-entry caches' promote
 // path on every access), three blocks rotated (constant cache misses),
 // addresses straddling a block boundary at 1<<BlockShift ± 1 (adjacent
 // addresses, different blocks), and a CAS-heavy mix (the only opcode
@@ -86,8 +84,8 @@ func (g *locGen) addi(cpu int) {
 }
 
 // singleBlockHammer: long same-thread runs on one address, interleaved
-// with bursts from the other threads — the maximal case for quiet-skip
-// coalescing, with real conflicts so the fan-out is not always quiet.
+// with bursts from the other threads — skipped deliveries at their most
+// frequent, with real conflicts so the fan-out is not always empty.
 func singleBlockHammer(g *locGen) {
 	const X = 64
 	for round := 0; round < 8; round++ {

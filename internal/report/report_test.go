@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -179,6 +180,25 @@ func TestTable2SmallScale(t *testing.T) {
 	}
 	if s := Summary(mb); !strings.Contains(s, "a posteriori") {
 		t.Errorf("summary of the mysql row does not mention the log: %s", s)
+	}
+
+	// The table's bytes, not only its shape: a change of one count in
+	// any row or merged counter moves a hash. A deliberate verdict change
+	// re-records them and says why in CHANGES.md.
+	for _, c := range []struct {
+		what, want string
+		v          any
+	}{
+		{"rows", "9a20a7efbce7c44ce77713ed53927100fd00154f8532ccd9651b14fb831f86b6", rows},
+		{"merged", "67e53b726788fc04627ca673e20f8bef231eea83edb9a55e4931b35b3ca832ff", merged},
+	} {
+		b, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sha256Hex(b); got != c.want {
+			t.Errorf("Table2 %s JSON hash %s, want %s", c.what, got, c.want)
+		}
 	}
 }
 

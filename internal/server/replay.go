@@ -120,6 +120,7 @@ func (e *Engine) replayStream(r *journal.Reader, si journal.StreamInfo) (rp repl
 	}
 	rp.workload, rp.seed = st.w.Name, st.seed
 	d.SetProgram(st.w.Prog, st.w.NumThreads)
+	d.SetMemWords(memWords(st.w))
 	locs := r.StreamEventLocs(si.Stream)
 
 	for k := 0; ; k++ {
@@ -134,10 +135,6 @@ func (e *Engine) replayStream(r *journal.Reader, si journal.StreamInfo) (rp repl
 		case err != nil:
 			rp.err = err.Error()
 		case fr.Type == wire.FrameEvents:
-			if err := checkAddrs(eb, st.w); err != nil {
-				rp.err = err.Error()
-				break
-			}
 			rp.events += uint64(eb.Len())
 			if k >= len(locs) {
 				rp.err = "more events frames than journaled event records"
@@ -242,6 +239,7 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 		return nil, nil, err
 	}
 	d.SetProgram(w.Prog, w.NumThreads)
+	d.SetMemWords(memWords(w))
 	var evs []vm.Event
 	eb := vm.NewEventBatch(0)
 	for {
@@ -254,9 +252,6 @@ func (e *Engine) DecodeStreamEvents(r *journal.Reader, stream uint64) (*workload
 		}
 		switch fr.Type {
 		case wire.FrameEvents:
-			if err := checkAddrs(eb, w); err != nil {
-				return nil, nil, err
-			}
 			evs = eb.AppendEvents(evs, w.Prog.Code)
 		case wire.FrameGoodbye:
 			return w, evs, nil

@@ -432,26 +432,14 @@ func (e *Engine) resolve(h wire.Hello) (*workloads.Workload, bool, error) {
 	return &workloads.Workload{Name: name, Prog: h.Program, NumThreads: h.Threads, MemWords: h.MemWords}, false, nil
 }
 
-// checkAddrs fails a decoded batch that addresses memory outside the
-// workload's [0, MemWords) — vm.DefaultMemWords when the workload
-// leaves it 0 — with wire.ErrBadFrame. The VM faults on any such
-// access, so only a forged stream carries one, and every distinct block
-// it names would grow the detectors' block tables. One OR-fold over the
-// address column; the decoder gives rows without a memory access
-// address 0.
-func checkAddrs(eb *vm.EventBatch, w *workloads.Workload) error {
-	words := w.MemWords
-	if words <= 0 {
-		words = vm.DefaultMemWords
+// memWords is the memory a stream's addresses must fall within, which
+// its deframer enforces (wire.Deframer.SetMemWords): the workload's
+// MemWords, or vm.DefaultMemWords when it leaves it 0, as the VM does.
+func memWords(w *workloads.Workload) int64 {
+	if w.MemWords > 0 {
+		return w.MemWords
 	}
-	var or int64
-	for _, a := range eb.Addr {
-		or |= a | (words - 1 - a)
-	}
-	if or < 0 {
-		return fmt.Errorf("%w: event address outside memory of %d words", wire.ErrBadFrame, words)
-	}
-	return nil
+	return vm.DefaultMemWords
 }
 
 // OpenStream admits a new stream described by its handshake. key feeds

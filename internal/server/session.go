@@ -131,6 +131,7 @@ func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, hello wire.Hello,
 		return err
 	}
 	d.SetProgram(st.w.Prog, st.w.NumThreads)
+	d.SetMemWords(memWords(st.w))
 
 	// Journaling persists each frame's raw wire bytes before its batch
 	// reaches a shard, so the journal holds every batch a verdict was
@@ -168,10 +169,6 @@ func (e *Engine) serveStream(d *wire.Deframer, f *wire.Framer, hello wire.Hello,
 		}
 		switch fr.Type {
 		case wire.FrameEvents:
-			if err := checkAddrs(eb, st.w); err != nil {
-				st.PutBatch(eb)
-				return err
-			}
 			st.NoteWireBytes(d.LastFrameBytes())
 			hdr, payload := d.RawFrame()
 			if check != nil {

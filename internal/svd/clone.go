@@ -88,6 +88,7 @@ func (d *Detector) Clone() *Detector {
 				nd.ix.Add(b, nt.id)
 			}
 			cp := *bs
+			cp.share = 0
 			cp.cu = translate(bs.cu)
 			if cp.cu != nil {
 				nd.acquire(cp.cu)
@@ -97,6 +98,7 @@ func (d *Detector) Clone() *Detector {
 				cp.conflict = false
 			}
 			*nt.blocks.Ensure(b) = cp
+			nt.blocks.Wrote(b)
 			return true
 		})
 		for r := range t.regs {
@@ -111,6 +113,22 @@ func (d *Detector) Clone() *Detector {
 			}
 		}
 		nd.threads[i] = nt
+	}
+	if nd.ix != nil {
+		// The coherence filter's bits, rebuilt from the finished index:
+		// a sole holder's claim, and the Marked set.
+		for _, nt := range nd.threads {
+			nt.blocks.Range(func(b int64, bs *blockState) bool {
+				switch {
+				case !bs.touched:
+				case nd.ix.Get(b).Only(nt.id):
+					bs.share = shareExcl
+				case bs.readReactive():
+					nt.markReactive(b, bs)
+				}
+				return true
+			})
+		}
 	}
 	return nd
 }

@@ -24,7 +24,15 @@ import (
 // DeliverRemote.
 func (d *Detector) StepLocal(ev *vm.Event) {
 	d.stats.Instructions++
-	d.threads[ev.CPU].local(ev)
+	t := d.threads[ev.CPU]
+	if len(t.ctrl) != 0 {
+		t.popCtrl(ev.PC)
+	}
+	if in := &ev.Instr; in.Op.IsMem() {
+		t.mem(eventAccess(ev), in, d.block(ev.Addr))
+	} else {
+		t.other(ev.PC, in)
+	}
 }
 
 // DeliverRemote delivers a remote-access message for ev to one instance —
@@ -33,7 +41,7 @@ func (d *Detector) DeliverRemote(toCPU int, ev *vm.Event) {
 	if !ev.Instr.Op.IsMem() || toCPU == ev.CPU {
 		return
 	}
-	d.threads[toCPU].remote(ev, d.block(ev.Addr))
+	d.threads[toCPU].remote(eventAccess(ev), d.block(ev.Addr))
 }
 
 // EvictBlock drops one instance's state for a block, as when the cache

@@ -74,6 +74,97 @@ func TestInterestDifferential(t *testing.T) {
 	}
 }
 
+// runColumns runs w at seed through StepColumns, the served path, with
+// the batches' Blocks column at the detector's shift.
+func runColumns(t *testing.T, w *workloads.Workload, seed uint64, opts Options) *Detector {
+	t.Helper()
+	m, err := w.NewVM(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(w.Prog, w.NumThreads, opts)
+	m.SetColumnBlockShift(opts.BlockShift)
+	m.AttachColumns(d)
+	if _, err := m.Run(1 << 24); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestInterestDifferentialRegistry is TestInterestDifferential over
+// every registry workload at scale 1, witness off and on, through
+// StepColumns: the coherence filter (exclusive claims, and remote reads
+// delivered only to read-reactive holders) must leave violations, the
+// log (Dynamic, ReaderCPUs and WriterCPUs included), sites, witness
+// groups and every Stats counter — RemoteEvents among them — as the
+// full fan-out leaves them. RemoteSent and RemoteSkipped count interest
+// members, so only their sum is path-independent.
+func TestInterestDifferentialRegistry(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for _, witness := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/witness=%v", name, witness), func(t *testing.T) {
+				for _, seed := range []uint64{1, 3} {
+					w, err := workloads.ByName(name, 1, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					indexed := runColumns(t, w, seed, Options{Witness: witness})
+					full := runColumns(t, w, seed, Options{Witness: witness, NoInterestIndex: true})
+					if !reflect.DeepEqual(indexed.Violations(), full.Violations()) {
+						t.Errorf("seed %d: violations diverge", seed)
+					}
+					if !reflect.DeepEqual(indexed.Log(), full.Log()) {
+						t.Errorf("seed %d: a posteriori logs diverge", seed)
+					}
+					if !reflect.DeepEqual(indexed.Sites(), full.Sites()) {
+						t.Errorf("seed %d: sites diverge", seed)
+					}
+					if !reflect.DeepEqual(indexed.WitnessGroups(), full.WitnessGroups()) {
+						t.Errorf("seed %d: witness groups diverge", seed)
+					}
+					is, fs := indexed.Stats(), full.Stats()
+					if is.RemoteSent+is.RemoteSkipped != fs.RemoteSent || fs.RemoteSkipped != 0 {
+						t.Errorf("seed %d: sent %d + skipped %d != full fan-out %d (+%d)",
+							seed, is.RemoteSent, is.RemoteSkipped, fs.RemoteSent, fs.RemoteSkipped)
+					}
+					is.RemoteSent, fs.RemoteSent = 0, 0
+					is.RemoteSkipped, fs.RemoteSkipped = 0, 0
+					if is != fs {
+						t.Errorf("seed %d: stats diverge:\nindexed %+v\nfull    %+v", seed, is, fs)
+					}
+					checkShareBits(t, indexed)
+				}
+			})
+		}
+	}
+}
+
+// checkShareBits checks the coherence filter's invariants on d: an
+// exclusive claim means its thread is the block's sole holder, a
+// read-reactive record is in the index's Marked set unless it claims
+// exclusivity, and Marked names holders only.
+func checkShareBits(t *testing.T, d *Detector) {
+	t.Helper()
+	for _, th := range d.threads {
+		th.blocks.Range(func(b int64, bs *blockState) bool {
+			if !bs.touched {
+				return true
+			}
+			e := d.ix.Entry(b)
+			if bs.share&shareExcl != 0 && !e.Holders.Only(th.id) {
+				t.Errorf("thread %d claims block %d, held by %+v", th.id, b, e.Holders)
+			}
+			if bs.share&shareExcl == 0 && bs.readReactive() && th.id < 64 && e.Marked&(1<<uint(th.id)) == 0 {
+				t.Errorf("thread %d's record of block %d is read-reactive (%v) but not Marked", th.id, b, bs.state)
+			}
+			if e.Marked&^e.Holders.Bits() != 0 {
+				t.Errorf("block %d: Marked %b names non-holders of %b", b, e.Marked, e.Holders.Bits())
+			}
+			return true
+		})
+	}
+}
+
 // TestInterestPopulationMatchesTouched: after a run, the index must hold
 // exactly one (thread, block) entry per touched block — no leaks, no
 // misses.
@@ -215,4 +306,35 @@ func TestCloneCarriesInterest(t *testing.T) {
 			return true
 		})
 	}
+	// The coherence filter's bits are rebuilt from the copied state:
+	// exclusive claims for sole holders, the Marked set for the others,
+	// and the clone then runs on exactly like the original.
+	checkShareBits(t, c)
+	for _, th := range c.threads {
+		th.blocks.Range(func(b int64, bs *blockState) bool {
+			if bs.touched && c.ix.Get(b).Only(th.id) && bs.share&shareExcl == 0 {
+				t.Errorf("clone thread %d is block %d's sole holder without the claim", th.id, b)
+			}
+			return true
+		})
+	}
+	m, err := w.NewVM(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Attach(vm.ObserverFunc(func(ev *vm.Event) {
+		d.Step(ev)
+		c.Step(ev)
+	}))
+	if _, err := m.Run(1 << 24); err != nil {
+		t.Fatal(err)
+	}
+	// The clone's arena starts empty, so it carves where the original
+	// reuses: only the arena's split of created units may differ.
+	cs, ds := c.Stats(), d.Stats()
+	cs.CUsAllocated, cs.CUsReused, ds.CUsAllocated, ds.CUsReused = 0, 0, 0, 0
+	if cs != ds || !reflect.DeepEqual(d.Violations(), c.Violations()) || !reflect.DeepEqual(d.Log(), c.Log()) {
+		t.Errorf("clone diverges from its original on a continued run:\nclone    %+v\noriginal %+v", cs, ds)
+	}
+	checkShareBits(t, c)
 }

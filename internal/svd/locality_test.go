@@ -11,9 +11,9 @@ import (
 // Eviction under coalescing. Hardware mode (EvictBlock) deletes a
 // thread's block state out from under every locality cache the hot path
 // keeps: the MRU block-pointer cache would otherwise resurrect a
-// zeroed slot without re-registering interest, and the fanout quiet
-// cache would otherwise keep skipping deliveries the now-shrunk
-// interest set no longer justifies. These tests interleave evictions
+// zeroed slot without re-registering interest, and a stale exclusive
+// claim or read-reactive bit must cost a delivery, never lose one.
+// These tests interleave evictions
 // with the coalesced columnar path and require bit-identical outputs
 // against per-event Step with the same evictions at the same points.
 
@@ -104,8 +104,7 @@ func (s *evictScript) differential(t *testing.T) {
 	}
 }
 
-// TestEvictionUnderCoalescingHammer: a thread hammers one block (deep
-// quiet coalescing), loses it to eviction mid-run, and resumes — then a
+// TestEvictionUnderCoalescingHammer: a thread hammers one block, loses it to eviction mid-run, and resumes — then a
 // cross-thread conflict pattern checks detection state reflects the
 // eviction, not the caches.
 func TestEvictionUnderCoalescingHammer(t *testing.T) {
@@ -166,7 +165,7 @@ func TestEvictionRestoresDetectionLoss(t *testing.T) {
 	const X = 64
 	s.load(0, X)
 	for i := 0; i < 8; i++ {
-		s.load(1, X) // populate cpu1's MRU + quiet caches
+		s.load(1, X) // populate cpu1's MRU cache
 	}
 	s.store(1, X)
 	s.evict(0, X) // cpu0 loses its read history for X

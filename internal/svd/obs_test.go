@@ -17,6 +17,13 @@ func triple(readPC, remotePC, localPC int64, cpu int) LogEntry {
 	}
 }
 
+// logEntry logs e as its reader thread would: through that thread's
+// logTriple, as load and remote do.
+func logEntry(d *Detector, e LogEntry) {
+	d.threads[e.CPU].logTriple(logKey{readPC: e.ReadPC, remotePC: e.RemoteWritePC, localPC: e.LocalWritePC},
+		e.RemoteWriteCPU, e.Block, e.ReadSeq, e.RemoteWriteSeq, e.LocalWriteSeq)
+}
+
 // TestMaxLogEntriesCap: the cap bounds retained distinct triples, but
 // dynamic counting continues — both the global Stats counter and the
 // per-triple Dynamic counts of the triples that made it under the cap.
@@ -24,11 +31,11 @@ func TestMaxLogEntriesCap(t *testing.T) {
 	s := newScript(2, Options{MaxLogEntries: 2})
 	d := s.d
 
-	d.logTriple(triple(1, 2, 3, 0)) // A: retained
-	d.logTriple(triple(4, 5, 6, 0)) // B: retained, cap full
-	d.logTriple(triple(7, 8, 9, 0)) // C: dropped (over cap)
-	d.logTriple(triple(1, 2, 3, 1)) // A again: dedup hit, cap irrelevant
-	d.logTriple(triple(7, 8, 9, 0)) // C again: still dropped
+	logEntry(d, triple(1, 2, 3, 0)) // A: retained
+	logEntry(d, triple(4, 5, 6, 0)) // B: retained, cap full
+	logEntry(d, triple(7, 8, 9, 0)) // C: dropped (over cap)
+	logEntry(d, triple(1, 2, 3, 1)) // A again: dedup hit, cap irrelevant
+	logEntry(d, triple(7, 8, 9, 0)) // C again: still dropped
 
 	log := d.Log()
 	if len(log) != 2 {
@@ -53,7 +60,7 @@ func TestMaxLogEntriesCap(t *testing.T) {
 // detector's retained entries.
 func TestLogDefensiveCopy(t *testing.T) {
 	s := newScript(2, Options{})
-	s.d.logTriple(triple(1, 2, 3, 0))
+	logEntry(s.d, triple(1, 2, 3, 0))
 
 	log := s.d.Log()
 	log[0].ReadPC = 999

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/vm"
 	"repro/internal/workloads"
@@ -89,6 +90,15 @@ func outputsOf(d *Detector) svdOutputs {
 // and Stats must equal a new detector's, at StepColumns chops of 1, 7,
 // vm.DefaultBatchCap and the whole trace. The detector is never
 // rebuilt, so each round starts from everything the earlier ones left.
+//
+// Then the proportional clear: Reset zeroes only the records a run
+// touched, and whole pages once a run touched more than a quarter of a
+// thread's page slots. A run that sprays one thread's stores over eight
+// whole pages (the whole-page clear), then one that touches three
+// blocks of one page on another thread (the listed clear, whose page
+// the next run takes first), each followed by Reset, must leave the
+// detector indistinguishable from a new one on the target: outputs, the
+// records its stores hold, and the interest index.
 func TestResetMatchesFresh(t *testing.T) {
 	names := workloads.Names()
 	type recording struct {
@@ -126,6 +136,68 @@ func TestResetMatchesFresh(t *testing.T) {
 			}
 		}
 	}
+	for _, rec := range recs {
+		w := rec.w
+		for _, opts := range []Options{{Witness: true}, {NoInterestIndex: true}} {
+			reused := New(w.Prog, w.NumThreads, opts)
+			stepChopped(reused, spray(t, w, 0, 0, 1, 8<<9), 0)
+			reused.Reset()
+			stepChopped(reused, spray(t, w, 1, 3<<9+5, 7, 3), 0)
+			reused.Reset()
+			stepChopped(reused, rec.target, vm.DefaultBatchCap)
+			fresh := New(w.Prog, w.NumThreads, opts)
+			stepChopped(fresh, rec.target, vm.DefaultBatchCap)
+			if got, want := outputsOf(reused), outputsOf(fresh); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %+v after sprays: reset detector diverges from a new one\ngot  %+v\nwant %+v", w.Name, opts, got.Stats, want.Stats)
+			}
+			gotSet, gotPop := touchedSet(reused)
+			wantSet, wantPop := touchedSet(fresh)
+			if !reflect.DeepEqual(gotSet, wantSet) || gotPop != wantPop {
+				t.Fatalf("%s %+v after sprays: reset detector holds %d records (index %d), a new one %d (index %d)",
+					w.Name, opts, len(gotSet), gotPop, len(wantSet), wantPop)
+			}
+		}
+	}
+}
+
+// spray returns n store rows by thread cpu at addresses from, from+stride,
+// ..., at the first store PC of w's program.
+func spray(t *testing.T, w *workloads.Workload, cpu int32, from, stride int64, n int) *vm.EventBatch {
+	t.Helper()
+	pc := int64(-1)
+	for i, in := range w.Prog.Code {
+		if in.Op == isa.OpStore {
+			pc = int64(i)
+			break
+		}
+	}
+	if pc < 0 {
+		t.Fatalf("%s has no store", w.Name)
+	}
+	eb := vm.NewEventBatch(n)
+	for i := 0; i < n; i++ {
+		eb.AppendRaw(uint64(i+1), cpu, pc, vm.FlagStore, from+int64(i)*stride)
+	}
+	return eb
+}
+
+// touchedSet lists every (thread, block) record d holds as touched, and
+// the interest index's population.
+func touchedSet(d *Detector) ([][2]int64, int) {
+	var out [][2]int64
+	for _, th := range d.threads {
+		th.blocks.Range(func(b int64, bs *blockState) bool {
+			if *bs != (blockState{}) {
+				out = append(out, [2]int64{int64(th.id), b})
+			}
+			return true
+		})
+	}
+	pop := 0
+	if d.ix != nil {
+		pop = d.ix.Population()
+	}
+	return out, pop
 }
 
 // TestResetKeepsPages: Reset keeps the block pages a run materialized

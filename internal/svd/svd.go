@@ -85,8 +85,9 @@ type Options struct {
 	// NoInterestIndex disables the block interest index: every memory
 	// instruction fans out to every other thread instance, as in the
 	// original implementation. Debug and differential-testing knob; the
-	// indexed path delivers to exactly the threads holding materialized
-	// state for the block, which is output-identical.
+	// indexed path delivers only to the threads holding materialized
+	// state for the block whose record the access can change (DESIGN.md
+	// §8), which is output-identical.
 	NoInterestIndex bool
 
 	// Witness turns on the violation flight recorder (DESIGN.md §9): each
@@ -256,7 +257,7 @@ type Stats struct {
 	Instructions uint64 // dynamic instructions observed
 	Loads        uint64
 	Stores       uint64
-	RemoteEvents uint64 // remote-access messages delivered to instances
+	RemoteEvents uint64 // remote accesses reaching an instance that holds the block (DESIGN.md §8)
 
 	CUsCreated uint64 // computational units allocated
 	CUsMerged  uint64 // units consumed by merge_and_update
@@ -271,10 +272,11 @@ type Stats struct {
 	CUsRecycled  uint64
 
 	// Remote-propagation counters: per memory instruction the detector
-	// owes NumCPUs-1 potential notifications; RemoteSent counts the ones
-	// actually dispatched to a thread instance and RemoteSkipped the ones
-	// the interest index proved unnecessary (always zero with
-	// NoInterestIndex). Sent+Skipped is path-independent.
+	// owes NumCPUs-1 potential notifications; RemoteSent counts the peers
+	// the interest index names as holders (each delivered to, or for a
+	// read at the remote fixed point counted as delivered) and
+	// RemoteSkipped the ones the index proved unnecessary (always zero
+	// with NoInterestIndex). Sent+Skipped is path-independent.
 	RemoteSent    uint64
 	RemoteSkipped uint64
 
@@ -307,6 +309,7 @@ type blockState struct {
 	hasLocalWrite  bool
 	hasLocalLoad   bool
 	hasRemoteWrite bool
+	share          uint8 // coherence filter bits: shareExcl, shareReact
 
 	// First unconsumed conflicting remote access, for violation reports.
 	conflictPC  int32
@@ -321,6 +324,47 @@ type blockState struct {
 	localWriteSeq  uint64
 	localLoadSeq   uint64
 	remoteWriteSeq uint64
+}
+
+// The coherence filter's bits in blockState.share (DESIGN.md §8).
+// Both only ever over-approximate what a remote access could need, so
+// a stale bit costs a delivery, never a missed one.
+const (
+	// shareExcl: this thread was the block's sole holder when it first
+	// touched it, and no other thread has touched it since — so its
+	// accesses owe no peer a delivery. Set only at a first touch into
+	// an empty interest entry, cleared when a second thread joins.
+	shareExcl uint8 = 1 << iota
+	// shareReact mirrors the thread's bit in the block's Marked set in
+	// the interest index: the state may change on a remote read. Set by
+	// the thread's own load or store, cleared by a delivery that leaves
+	// the state at the remote fixed point. Not kept while shareExcl.
+	shareReact
+)
+
+// readReactive reports whether a remote read could change the block's
+// record beyond the RemoteEvents count: Loaded and Stored move to their
+// _Shared states, True_Dep cuts, and Stored_Shared without a conflict
+// records one. Idle, Loaded_Shared and Stored_Shared with its conflict
+// set are the remote read's fixed points.
+func (bs *blockState) readReactive() bool {
+	switch bs.state {
+	case stLoaded, stStored, stTrueDep:
+		return true
+	case stStoredShared:
+		return !bs.conflict
+	}
+	return false
+}
+
+// access is one memory row as the detector's instances see it. The
+// columnar path fills it from the batch columns and per-event Step from
+// its Event; the instruction travels separately, by pointer.
+type access struct {
+	seq   uint64
+	pc    int64
+	cpu   int32
+	store bool // the row wrote (a store, or a CAS that succeeded)
 }
 
 // ctrlEntry is one Skipper control-dependence stack slot.
@@ -357,19 +401,12 @@ type threadState struct {
 	cb0, cb1   int64
 	cbp0, cbp1 *blockState
 
-	// Last (block → interest mask) pairs served by fanout for this
-	// thread's accesses, valid while fanGen matches ix.Gen(): tight
-	// sharing loops pay one directory probe per run instead of per
-	// access. Per-thread rather than detector-global because the VM
-	// interleaves threads round-robin — each thread's stream has block
-	// locality, the merged stream does not. Two MRU entries so a thread
-	// alternating between two blocks still hits. fanOK false marks an
-	// entry empty; any generation change invalidates both.
-	fanB     [2]int64
-	fanSet   [2]blockstore.ThreadSet
-	fanOK    [2]bool
-	fanQuiet [2]bool // entry's set minus this thread was empty when cached
-	fanGen   uint64
+	// The (s, rw, lw) triple this thread logged last and its index in
+	// logEntries, valid while logOK: a thread repeating its previous
+	// triple skips the map probe. Reset and Clone start it empty.
+	logKey logKey
+	logIdx int
+	logOK  bool
 
 	// ring is the flight-recorder buffer of this thread's recent accesses;
 	// nil unless Options.Witness.
@@ -437,7 +474,7 @@ func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
 			blocks: blockstore.New[blockState](blockstore.Options{}),
 		}
 		if d.opts.Witness {
-			d.threads[i].ring = obs.NewAccessRing(d.opts.WitnessRing)
+			d.threads[i].ring = obs.NewAccessRing(d.opts.WitnessRing, i)
 		}
 	}
 	return d
@@ -448,8 +485,9 @@ func New(prog *isa.Program, numCPUs int, opts Options) *Detector {
 // behaves exactly like New with the same program, thread count and
 // options. It clears in place rather than rebuilding, so a detector
 // reused run after run stops allocating once warm: the block pages the
-// run materialized are zeroed and kept (blockstore.Store.Clear), the CU
-// arena rewinds over the chunks it already carved, and registers,
+// run materialized are detached and kept (blockstore.Store.Clear) after
+// zeroing only the records the run touched, the CU arena rewinds over
+// the chunks it already carved, and registers,
 // control stacks and access rings empty into their existing storage.
 // The witness groups and AllWitnesses slices are dropped, never
 // reused, because samples and journal anchors may still hold them;
@@ -491,10 +529,10 @@ func (t *threadState) reset() {
 	}
 	t.ctrl = t.ctrl[:0]
 	t.depth = 0
-	// The cleared pages are detached, so cached slots must die; the
-	// fan-out cache would die anyway with the index's generation bump.
+	// The cleared pages are detached, so cached slots must die, and the
+	// log is emptied under the log cache.
 	t.cb0, t.cb1, t.cbp0, t.cbp1 = 0, 0, nil, nil
-	t.fanB, t.fanSet, t.fanOK, t.fanQuiet, t.fanGen = [2]int64{}, [2]blockstore.ThreadSet{}, [2]bool{}, [2]bool{}, 0
+	t.logOK = false
 	if t.ring != nil {
 		t.ring.Reset()
 	}
@@ -607,107 +645,96 @@ func (d *Detector) FlushObs() {
 func (d *Detector) block(addr int64) int64 { return addr >> d.opts.BlockShift }
 
 // Step processes one dynamic instruction (vm.Observer). It is the
-// reference path: StepColumns must stay bit-identical to it.
+// reference path: StepColumns must stay bit-identical to it. The Event
+// is converted once into an access; both paths then share the same
+// per-row instance code.
 func (d *Detector) Step(ev *vm.Event) {
 	d.stats.Instructions++
-	d.threads[ev.CPU].step(ev)
+	t := d.threads[ev.CPU]
+	if len(t.ctrl) != 0 {
+		t.popCtrl(ev.PC)
+	}
+	in := &ev.Instr
+	if !in.Op.IsMem() {
+		t.other(ev.PC, in)
+		return
+	}
+	a := eventAccess(ev)
+	b := d.block(ev.Addr)
+	d.deliver(a, b, t.mem(a, in, b))
 }
 
-// fanout propagates a memory access to the remote thread instances. With
-// the interest index, only threads holding touched state for the block
-// are visited — in ascending id order, exactly the order (restricted to
-// the subset that reacts) of the full fan-out, so reports and log entries
-// land identically. A block solely owned by the accessor broadcasts to no
-// one.
-//
-// The return value reports that the access was quiet: nothing was
-// delivered, and an identical access to the same block would again
-// deliver nothing and adjust stats identically (RemoteSkipped by the
-// peer count). StepColumns uses it to skip fanout for the rest of a
-// same-thread same-block run — sound because between two accesses of one
-// run only the accessor itself can gain interest in the block, and the
-// accessor is excluded from its own fan-out.
-func (d *Detector) fanout(ev *vm.Event, b int64) (quiet bool) {
+// eventAccess converts a per-event row to the access the instances see.
+func eventAccess(ev *vm.Event) access {
+	return access{seq: ev.Seq, pc: ev.PC, cpu: int32(ev.CPU), store: ev.IsStore}
+}
+
+// deliver owes the peers of a's thread the remote side of an access to
+// block b, whose record in the accessor's instance is bs: nothing when
+// bs is exclusive (no peer holds the block), else the fan-out.
+func (d *Detector) deliver(a access, b int64, bs *blockState) {
+	if bs.share&shareExcl != 0 {
+		d.stats.RemoteSkipped += uint64(len(d.threads) - 1)
+		return
+	}
+	d.fanout(a, b)
+}
+
+// fanout propagates a memory access to the remote thread instances,
+// delivering only where the access can change a record — the software
+// counterpart of coherence traffic, which stays silent while a line is
+// stably shared (§4.4). With the interest index, only threads holding
+// touched state for the block are visited, in ascending id order
+// (exactly the full fan-out's order restricted to the threads that
+// react, so reports and log entries land identically), and a remote
+// read skips the holders outside the block's Marked set, which sit at
+// the read's fixed point (readReactive): for them the delivery would
+// only count. Every holder below 64 holds touched state, so a skipped
+// one still counts its RemoteEvents, and RemoteSent and RemoteSkipped
+// count holders, not deliveries — Stats come out as if every delivery
+// happened. Remote writes reach every holder: their fields feed the
+// (s, rw, lw) log.
+func (d *Detector) fanout(a access, b int64) {
 	peers := len(d.threads) - 1
 	if d.ix == nil {
 		for _, t := range d.threads {
-			if t.id != ev.CPU {
-				t.remote(ev, b)
+			if t.id != int(a.cpu) {
+				t.remote(a, b)
 			}
 		}
 		d.stats.RemoteSent += uint64(peers)
-		return peers == 0
+		return
 	}
-	src := d.threads[ev.CPU]
-	if gen := d.ix.Gen(); gen != src.fanGen {
-		src.fanGen = gen
-		src.fanOK[0], src.fanOK[1] = false, false
-		// The quiet bits must die with their entries: the shuffles below
-		// move them between slots without re-checking the generation, and
-		// quietHit trusts any true bit under a matching fanGen.
-		src.fanQuiet[0], src.fanQuiet[1] = false, false
+	// Never nil: the accessor's own load or store joined the block.
+	e := d.ix.Entry(b)
+	mask := e.Holders.Bits()
+	if a.cpu < 64 {
+		mask &^= 1 << uint(a.cpu)
 	}
-	set := src.fanSet[0]
-	switch {
-	case src.fanOK[0] && src.fanB[0] == b:
-	case src.fanOK[1] && src.fanB[1] == b:
-		set = src.fanSet[1]
-		// Promote to MRU so a two-block ping-pong hits on every access.
-		src.fanB[1], src.fanSet[1], src.fanOK[1], src.fanQuiet[1] =
-			src.fanB[0], src.fanSet[0], src.fanOK[0], src.fanQuiet[0]
-		src.fanB[0], src.fanSet[0], src.fanOK[0] = b, set, true
-	default:
-		set = d.ix.Get(b)
-		src.fanB[1], src.fanSet[1], src.fanOK[1], src.fanQuiet[1] =
-			src.fanB[0], src.fanSet[0], src.fanOK[0], src.fanQuiet[0]
-		src.fanB[0], src.fanSet[0], src.fanOK[0] = b, set, true
+	sent := mathbits.OnesCount64(mask)
+	if !a.store {
+		quiet := mask &^ e.Marked
+		d.stats.RemoteEvents += uint64(mathbits.OnesCount64(quiet))
+		mask &^= quiet
 	}
-	mask := set.Bits()
-	if ev.CPU < 64 {
-		mask &^= 1 << uint(ev.CPU)
-	}
-	sent := 0
 	for rest := mask; rest != 0; rest &= rest - 1 {
-		d.threads[mathbits.TrailingZeros64(rest)].remote(ev, b)
-		sent++
+		tid := mathbits.TrailingZeros64(rest)
+		if d.threads[tid].remote(a, b) {
+			e.Marked |= 1 << uint(tid)
+		} else {
+			e.Marked &^= 1 << uint(tid)
+		}
 	}
-	if set.HasHigh() {
+	if e.Holders.HasHigh() {
 		for tid := 64; tid < len(d.threads); tid++ {
-			if tid != ev.CPU {
-				d.threads[tid].remote(ev, b)
+			if tid != int(a.cpu) {
+				d.threads[tid].remote(a, b)
 				sent++
 			}
 		}
 	}
 	d.stats.RemoteSent += uint64(sent)
 	d.stats.RemoteSkipped += uint64(peers - sent)
-	// High-folded members always deliver (and count as sent), so sent==0
-	// alone proves the set minus the accessor was empty. Slot 0 holds b
-	// on every path out of the switch above, so the quiet bit lands on
-	// the right entry; step's fan fast path reads it to skip this whole
-	// call for repeat accesses to a private block.
-	src.fanQuiet[0] = sent == 0
-	return sent == 0
-}
-
-// quietHit reports that the per-thread cache proves block b quiet for
-// this thread right now: MRU entry matches, generation current, and the
-// entry's effective set was empty. The caller can then account
-// RemoteSkipped for all peers and skip the fanout call entirely —
-// remote() and cut() never change interest membership, so a quiet block
-// stays quiet for this thread until some thread materializes or evicts
-// state (both bump the generation). fanOK[0] needs no check: fanQuiet[0]
-// is set only at the end of a fanout call, which always leaves slot 0
-// valid for the block it ran on at the generation now in fanGen, so a
-// true quiet bit under a matching generation can only describe a live
-// entry. Inlinable; step uses it to keep the dominant private-block case
-// free of the (non-inlinable) fanout call.
-func (t *threadState) quietHit(b int64) bool {
-	ix := t.d.ix
-	if ix == nil || t.fanGen != ix.Gen() {
-		return false
-	}
-	return (t.fanQuiet[0] && t.fanB[0] == b) || (t.fanQuiet[1] && t.fanB[1] == b)
 }
 
 // ----- per-thread instance -----
@@ -737,8 +764,9 @@ func (t *threadState) ensureBlockSlow(b int64) *blockState {
 	if !bs.touched {
 		bs.touched = true
 		t.nblocks++
-		if ix := t.d.ix; ix != nil {
-			ix.Add(b, t.id)
+		t.blocks.Wrote(b)
+		if t.d.ix != nil {
+			t.join(b, bs)
 		}
 	}
 	t.cb1 = t.cb0
@@ -746,6 +774,45 @@ func (t *threadState) ensureBlockSlow(b int64) *blockState {
 	t.cbp1 = t.cbp0
 	t.cbp0 = bs
 	return bs
+}
+
+// join enters the thread's first touch of block b, whose record is bs,
+// into the interest index and keeps the exclusive bits sound: a thread
+// that finds the entry empty claims the block (threads past 63 never
+// do — their membership is folded), and one that joins a sole holder
+// below 64 revokes that holder's claim, entering it in the Marked set
+// if its state is read-reactive (Marked is not kept while a claim
+// stands). A claim can go stale only toward false, as when the joiner
+// later leaves again by eviction.
+func (t *threadState) join(b int64, bs *blockState) {
+	d := t.d
+	prior := d.ix.Add(b, t.id)
+	if prior.Empty() {
+		if t.id < 64 {
+			bs.share = shareExcl
+		}
+		return
+	}
+	if held := prior.Bits(); !prior.HasHigh() && held&(held-1) == 0 {
+		o := d.threads[mathbits.TrailingZeros64(held)]
+		if ob := o.blocks.Lookup(b); ob != nil && ob.share&shareExcl != 0 {
+			ob.share = 0
+			if ob.readReactive() {
+				o.markReactive(b, ob)
+			}
+		}
+	}
+}
+
+// markReactive records that a remote read could change the thread's
+// record bs of block b: its mirror bit, and its bit in the index
+// entry's Marked set. Threads past 63 have no Marked bit; the fan-out
+// visits them whenever any is a holder.
+func (t *threadState) markReactive(b int64, bs *blockState) {
+	bs.share |= shareReact
+	if ix := t.d.ix; ix != nil && t.id < 64 {
+		ix.Entry(b).Marked |= 1 << uint(t.id)
+	}
 }
 
 // lookupBlock returns the thread's state for a block, or nil when no local
@@ -846,124 +913,38 @@ func (t *threadState) setBlockCUSlow(bs *blockState, c *cu) {
 	bs.cu = c
 }
 
-// step processes an instruction executed by this thread including the
-// remote fan-out of memory accesses — the software detector's whole
-// per-event pipeline in one frame. It is local with the fan-out fused
-// into the memory arms: the block id is computed once and shared between
-// the FSM update and the fan-out, and the per-event path pays one call
-// instead of two. The opcode dispatch is a dense switch (one jump-table
-// indirection); the per-block sharing FSM it feeds is the dense fsmNext
-// transition table. An opcode→effect-class indirection was measured
-// here and rejected: the extra dependent byte load cost ~2 ns/instr on
-// the CI host against a switch the compiler already compiles densely.
-//
-// A CAS fans out once, after both its load and (on success) store halves
-// ran locally — the same order Step's trailing fanout call used to
-// produce.
-func (t *threadState) step(ev *vm.Event) {
-	if len(t.ctrl) != 0 {
-		t.popCtrl(ev.PC)
-	}
-
-	in := &ev.Instr
+// mem runs one memory row on this thread's instance — the load and
+// store halves of Figure 7 with the FSM update — and returns the
+// block's record for the caller's remote side. The opcode decides what
+// a row does, on both paths: a load or CAS always loads, a store always
+// stores, a CAS stores only when the row's store bit says it
+// succeeded, and the store bit is the write bit its remote deliveries
+// carry. A row's load flag is never read.
+func (t *threadState) mem(a access, in *isa.Instr, b int64) *blockState {
 	switch in.Op {
 	case isa.OpLoad:
 		t.d.stats.Loads++
-		b := t.d.block(ev.Addr)
-		t.load(ev, b, in.Rd)
-		if t.quietHit(b) {
-			t.d.stats.RemoteSkipped += uint64(len(t.d.threads) - 1)
-		} else {
-			t.d.fanout(ev, b)
-		}
-
+		return t.load(a, b, in.Rd)
 	case isa.OpStore:
 		t.d.stats.Stores++
-		b := t.d.block(ev.Addr)
-		t.store(ev, b, in.Rs2, in.Rs1)
-		if t.quietHit(b) {
-			t.d.stats.RemoteSkipped += uint64(len(t.d.threads) - 1)
-		} else {
-			t.d.fanout(ev, b)
-		}
-
-	case isa.OpCas:
-		b := t.d.block(ev.Addr)
-		t.d.stats.Loads++
-		t.load(ev, b, in.Rd)
-		if ev.IsStore {
-			t.d.stats.Stores++
-			t.store(ev, b, in.Rs3, in.Rs1)
-		}
-		if t.quietHit(b) {
-			t.d.stats.RemoteSkipped += uint64(len(t.d.threads) - 1)
-		} else {
-			t.d.fanout(ev, b)
-		}
-
-	case isa.OpLI:
-		t.clearReg(in.Rd)
-
-	case isa.OpMov, isa.OpAddi:
-		// RegZero's set is permanently empty, so it doubles as "no second
-		// source" here.
-		t.setRegFrom(in.Rd, in.Rs1, isa.RegZero)
-
-	case isa.OpAdd, isa.OpSub, isa.OpMul, isa.OpDiv, isa.OpMod, isa.OpAnd,
-		isa.OpOr, isa.OpXor, isa.OpShl, isa.OpShr, isa.OpSlt, isa.OpSle,
-		isa.OpSeq, isa.OpSne:
-		t.setRegFrom(in.Rd, in.Rs1, in.Rs2)
-
-	case isa.OpBeqz, isa.OpBnez:
-		t.pushCtrl(ev)
-
-	case isa.OpJal:
-		t.clearReg(in.Rd)
-		t.depth++
-
-	case isa.OpJr:
-		t.depth--
-		for len(t.ctrl) > 0 && t.ctrl[len(t.ctrl)-1].depth > t.depth {
-			t.dropCtrlTop()
-		}
+		return t.store(a, b, in.Rs2, in.Rs1)
 	}
+	// CAS always loads; it stores only when it succeeded. The value and
+	// address dependences of the store part come from the new value
+	// (Rs3) and the address register (Rs1).
+	t.d.stats.Loads++
+	bs := t.load(a, b, in.Rd)
+	if a.store {
+		t.d.stats.Stores++
+		bs = t.store(a, b, in.Rs3, in.Rs1)
+	}
+	return bs
 }
 
-// local processes an instruction executed by this thread WITHOUT the
-// remote fan-out — the hardware mode's entry point, where coherence
-// traffic replaces the software broadcast. It must stay
-// case-for-case identical to step minus the fanout calls; the
-// differential tests in internal/report hold the two paths together.
-func (t *threadState) local(ev *vm.Event) {
-	// Reaching a reconvergence point retires control dependences before
-	// the instruction at that point executes. The stack is empty for the
-	// vast majority of instructions; the length check here keeps that
-	// common case free of the (non-inlinable) pop loop's call overhead.
-	if len(t.ctrl) != 0 {
-		t.popCtrl(ev.PC)
-	}
-
-	in := &ev.Instr
+// other runs one non-memory row at pc: register dataflow and the
+// Skipper control stack.
+func (t *threadState) other(pc int64, in *isa.Instr) {
 	switch in.Op {
-	case isa.OpLoad:
-		t.d.stats.Loads++
-		t.load(ev, t.d.block(ev.Addr), in.Rd)
-
-	case isa.OpStore:
-		t.d.stats.Stores++
-		t.store(ev, t.d.block(ev.Addr), in.Rs2, in.Rs1)
-
-	case isa.OpCas:
-		// CAS always loads; it stores only when it succeeded. The value
-		// and address dependences of the store part come from the new
-		// value (Rs3) and the address register (Rs1).
-		t.d.stats.Loads++
-		t.load(ev, t.d.block(ev.Addr), in.Rd)
-		if ev.IsStore {
-			t.d.stats.Stores++
-			t.store(ev, t.d.block(ev.Addr), in.Rs3, in.Rs1)
-		}
-
 	case isa.OpLI:
 		t.clearReg(in.Rd)
 
@@ -978,7 +959,7 @@ func (t *threadState) local(ev *vm.Event) {
 		t.setRegFrom(in.Rd, in.Rs1, in.Rs2)
 
 	case isa.OpBeqz, isa.OpBnez:
-		t.pushCtrl(ev)
+		t.pushCtrl(pc, in)
 
 	case isa.OpJal:
 		t.clearReg(in.Rd)
@@ -1121,8 +1102,9 @@ func (t *threadState) clearRegSlow(rd isa.Reg) {
 }
 
 // load implements the LOAD case of Figure 7 plus the a posteriori log of
-// §2.3 and the input-block rule of §2.2.1.
-func (t *threadState) load(ev *vm.Event, b int64, rd isa.Reg) {
+// §2.3 and the input-block rule of §2.2.1, and returns the block's
+// record.
+func (t *threadState) load(a access, b int64, rd isa.Reg) *blockState {
 	bs := t.ensureBlock(b)
 
 	// A load of a block this thread stored and another thread has since
@@ -1146,17 +1128,8 @@ func (t *threadState) load(ev *vm.Event, b int64, rd isa.Reg) {
 	// A posteriori log: the value read was last written by another thread
 	// and overwrote a preceding local write (§2.3).
 	if bs.hasRemoteWrite && bs.hasLocalWrite && bs.remoteWriteSeq > bs.localWriteSeq {
-		t.d.logTriple(LogEntry{
-			CPU:            t.id,
-			Block:          b,
-			ReadPC:         ev.PC,
-			ReadSeq:        ev.Seq,
-			RemoteWritePC:  int64(bs.remoteWritePC),
-			RemoteWriteCPU: int(bs.remoteWriteCPU),
-			RemoteWriteSeq: bs.remoteWriteSeq,
-			LocalWritePC:   int64(bs.localWritePC),
-			LocalWriteSeq:  bs.localWriteSeq,
-		})
+		t.logTriple(logKey{readPC: a.pc, remotePC: int64(bs.remoteWritePC), localPC: int64(bs.localWritePC)},
+			int(bs.remoteWriteCPU), b, a.seq, bs.remoteWriteSeq, bs.localWriteSeq)
 	}
 
 	// currentCU's fast path, by hand: load is the hottest consumer and
@@ -1183,20 +1156,24 @@ func (t *threadState) load(ev *vm.Event, b int64, rd isa.Reg) {
 	}
 
 	bs.state = fsmNext[kindLoad][bs.state]
+	if bs.share == 0 && bs.readReactive() {
+		t.markReactive(b, bs)
+	}
 
 	bs.hasLocalLoad = true
-	bs.localLoadPC = int32(ev.PC)
-	bs.localLoadSeq = ev.Seq
+	bs.localLoadPC = int32(a.pc)
+	bs.localLoadSeq = a.seq
 	if t.ring != nil {
-		t.ring.Add(obs.WitnessAccess{CPU: t.id, PC: ev.PC, Block: b, Seq: ev.Seq, CU: c.id})
+		t.ring.Add(a.pc, b, false, a.seq, c.id)
 	}
 	t.setRegSingle(rd, c)
+	return bs
 }
 
 // store implements the STORE case of Figure 7: gather data, address, and
 // control CU sets, check strict 2PL, then consolidate the data dependences
-// into the block's CU.
-func (t *threadState) store(ev *vm.Event, b int64, valReg, addrReg isa.Reg) {
+// into the block's CU. It returns the block's record.
+func (t *threadState) store(a access, b int64, valReg, addrReg isa.Reg) *blockState {
 	dataSet := t.d.resolve(t.regs[valReg])
 	t.regs[valReg] = dataSet
 
@@ -1207,12 +1184,12 @@ func (t *threadState) store(ev *vm.Event, b int64, valReg, addrReg isa.Reg) {
 	// violation-free store skips a buffer copy per event. Resolution is
 	// unconditional (path compression must happen whether or not an
 	// earlier set already reported).
-	hit := t.checkViolations(ev, dataSet)
+	hit := t.checkViolations(a, dataSet)
 	if !t.d.opts.NoAddressDeps {
 		addrSet := t.d.resolve(t.regs[addrReg])
 		t.regs[addrReg] = addrSet
 		if !hit {
-			hit = t.checkViolations(ev, addrSet)
+			hit = t.checkViolations(a, addrSet)
 		}
 	}
 	if !t.d.opts.NoControlDeps {
@@ -1220,7 +1197,7 @@ func (t *threadState) store(ev *vm.Event, b int64, valReg, addrReg isa.Reg) {
 			e := &t.ctrl[i]
 			e.cuSet = t.d.resolve(e.cuSet)
 			if !hit {
-				hit = t.checkViolations(ev, e.cuSet)
+				hit = t.checkViolations(a, e.cuSet)
 			}
 		}
 	}
@@ -1237,13 +1214,17 @@ func (t *threadState) store(ev *vm.Event, b int64, valReg, addrReg isa.Reg) {
 	// the write-after-write and write-read histories they encode remain
 	// true.
 	bs.state = fsmNext[kindStore][bs.state]
+	if bs.share == 0 && bs.readReactive() {
+		t.markReactive(b, bs)
+	}
 
 	bs.hasLocalWrite = true
-	bs.localWritePC = int32(ev.PC)
-	bs.localWriteSeq = ev.Seq
+	bs.localWritePC = int32(a.pc)
+	bs.localWriteSeq = a.seq
 	if t.ring != nil {
-		t.ring.Add(obs.WitnessAccess{CPU: t.id, PC: ev.PC, Block: b, Write: true, Seq: ev.Seq, CU: c.id})
+		t.ring.Add(a.pc, b, true, a.seq, c.id)
 	}
+	return bs
 }
 
 // checkViolations is Figure 7's check_violations: report a strict-2PL
@@ -1251,19 +1232,19 @@ func (t *threadState) store(ev *vm.Event, b int64, valReg, addrReg isa.Reg) {
 // CU the store depends on. At most one violation is reported per store;
 // the return value tells the caller to suppress checks on its remaining
 // dependence sets.
-func (t *threadState) checkViolations(ev *vm.Event, set []*cu) bool {
+func (t *threadState) checkViolations(a access, set []*cu) bool {
 	for _, c := range set {
-		if t.reportIfConflict(ev, c, &c.rs) {
+		if t.reportIfConflict(a, c, &c.rs) {
 			return true
 		}
-		if t.d.opts.CheckAllBlocks && t.reportIfConflict(ev, c, &c.ws) {
+		if t.d.opts.CheckAllBlocks && t.reportIfConflict(a, c, &c.ws) {
 			return true
 		}
 	}
 	return false
 }
 
-func (t *threadState) reportIfConflict(ev *vm.Event, c *cu, blocks *blockSet) bool {
+func (t *threadState) reportIfConflict(a access, c *cu, blocks *blockSet) bool {
 	// Indexed iteration, not forEach: a capturing closure here is one
 	// heap allocation per checked store, and this runs on every store.
 	for i, n := 0, blocks.len(); i < n; i++ {
@@ -1284,9 +1265,9 @@ func (t *threadState) reportIfConflict(ev *vm.Event, c *cu, blocks *blockSet) bo
 		}
 		t.d.stats.Violations++
 		v := Violation{
-			Seq:         ev.Seq,
+			Seq:         a.seq,
 			CPU:         t.id,
-			StorePC:     ev.PC,
+			StorePC:     a.pc,
 			Block:       b,
 			CU:          c.id,
 			ConflictCPU: int(bs.conflictCPU),
@@ -1295,7 +1276,7 @@ func (t *threadState) reportIfConflict(ev *vm.Event, c *cu, blocks *blockSet) bo
 		}
 		t.d.recordSite(v)
 		if r := t.d.rec; r != nil {
-			r.Violation(t.d.stats.Instructions, t.id, ev.PC, b, c.id)
+			r.Violation(t.d.stats.Instructions, t.id, a.pc, b, c.id)
 		}
 		if t.d.opts.Witness {
 			t.foldWitness(v, c, bs)
@@ -1383,16 +1364,19 @@ func (t *threadState) resetBlock(b int64, owner *cu) {
 
 // remote processes a memory access by another processor: update the block
 // FSM, record conflicts for the strict-2PL check, cut on True_Dep, and
-// remember remote writes for the a posteriori log.
-func (t *threadState) remote(ev *vm.Event, b int64) {
+// remember remote writes for the a posteriori log. It reports whether
+// the thread's record may still react to a remote read, keeping the
+// record's shareReact mirror in step; the fan-out keeps the index's
+// Marked bit in step with the answer.
+func (t *threadState) remote(a access, b int64) (reactive bool) {
 	bs := t.lookupBlock(b)
 	if bs == nil {
 		// The thread never touched the block: no state is needed, and no
 		// (s, rw, lw) triple is possible without a preceding local write.
-		return
+		return false
 	}
 	t.d.stats.RemoteEvents++
-	isWrite := ev.IsStore
+	isWrite := a.store
 
 	if bs.state != stIdle {
 		// A conflict needs at least one write: a remote write conflicts
@@ -1400,9 +1384,9 @@ func (t *threadState) remote(ev *vm.Event, b int64) {
 		// thread wrote the block.
 		if !bs.conflict && (isWrite || bs.state.locallyWritten()) {
 			bs.conflict = true
-			bs.conflictCPU = int32(ev.CPU)
-			bs.conflictPC = int32(ev.PC)
-			bs.conflictSeq = ev.Seq
+			bs.conflictCPU = a.cpu
+			bs.conflictPC = int32(a.pc)
+			bs.conflictSeq = a.seq
 			bs.conflictWrite = isWrite
 		}
 	}
@@ -1414,17 +1398,8 @@ func (t *threadState) remote(ev *vm.Event, b int64) {
 		// the unit, and the block just proved to be shared (Figure 8
 		// transition II; Figure 7 lines 30-31).
 		if isWrite && bs.hasLocalWrite && bs.hasLocalLoad {
-			t.d.logTriple(LogEntry{
-				CPU:            t.id,
-				Block:          b,
-				ReadPC:         int64(bs.localLoadPC),
-				ReadSeq:        bs.localLoadSeq,
-				RemoteWritePC:  ev.PC,
-				RemoteWriteCPU: ev.CPU,
-				RemoteWriteSeq: ev.Seq,
-				LocalWritePC:   int64(bs.localWritePC),
-				LocalWriteSeq:  bs.localWriteSeq,
-			})
+			t.logTriple(logKey{readPC: int64(bs.localLoadPC), remotePC: a.pc, localPC: int64(bs.localWritePC)},
+				int(a.cpu), b, bs.localLoadSeq, a.seq, bs.localWriteSeq)
 		}
 		if c := t.currentCU(bs); c != nil {
 			t.d.stats.SharedCutRemote++
@@ -1441,33 +1416,57 @@ func (t *threadState) remote(ev *vm.Event, b int64) {
 
 	if isWrite {
 		bs.hasRemoteWrite = true
-		bs.remoteWritePC = int32(ev.PC)
-		bs.remoteWriteCPU = int32(ev.CPU)
-		bs.remoteWriteSeq = ev.Seq
+		bs.remoteWritePC = int32(a.pc)
+		bs.remoteWriteCPU = a.cpu
+		bs.remoteWriteSeq = a.seq
 	}
+	if reactive = bs.readReactive(); reactive {
+		bs.share |= shareReact
+	} else {
+		bs.share &^= shareReact
+	}
+	return reactive
 }
 
-func (d *Detector) logTriple(e LogEntry) {
+// logTriple records one dynamic occurrence of the (s, rw, lw) triple key
+// read by this thread: s read block b at readSeq, rw was writer's remote
+// write at rwSeq, lw the local write at lwSeq. A repeat only bumps the
+// kept entry, and the LogEntry is built when a triple is first kept.
+// The thread's last key sits in front of the map: a thread repeating
+// its previous triple, the common case in tight sharing loops, skips
+// the probe.
+func (t *threadState) logTriple(key logKey, writer int, b int64, readSeq, rwSeq, lwSeq uint64) {
+	d := t.d
 	d.stats.LogEntries++
 	if r := d.rec; r != nil {
-		r.LogTriple(d.stats.Instructions, e.CPU, e.ReadPC, e.RemoteWritePC, e.LocalWritePC)
+		r.LogTriple(d.stats.Instructions, t.id, key.readPC, key.remotePC, key.localPC)
 	}
-	key := logKey{readPC: e.ReadPC, remotePC: e.RemoteWritePC, localPC: e.LocalWritePC}
-	if idx, seen := d.logSeen[key]; seen {
-		kept := &d.logEntries[idx]
-		kept.Dynamic++
-		kept.ReaderCPUs |= cpuBit(e.CPU)
-		kept.WriterCPUs |= cpuBit(e.RemoteWriteCPU)
-		return
+	if !t.logOK || t.logKey != key {
+		idx, seen := d.logSeen[key]
+		if !seen {
+			if len(d.logEntries) >= d.opts.MaxLogEntries {
+				return
+			}
+			idx = len(d.logEntries)
+			d.logSeen[key] = idx
+			d.logEntries = append(d.logEntries, LogEntry{
+				CPU:            t.id,
+				Block:          b,
+				ReadPC:         key.readPC,
+				ReadSeq:        readSeq,
+				RemoteWritePC:  key.remotePC,
+				RemoteWriteCPU: writer,
+				RemoteWriteSeq: rwSeq,
+				LocalWritePC:   key.localPC,
+				LocalWriteSeq:  lwSeq,
+			})
+		}
+		t.logKey, t.logIdx, t.logOK = key, idx, true
 	}
-	if len(d.logEntries) >= d.opts.MaxLogEntries {
-		return
-	}
-	e.Dynamic = 1
-	e.ReaderCPUs = cpuBit(e.CPU)
-	e.WriterCPUs = cpuBit(e.RemoteWriteCPU)
-	d.logSeen[key] = len(d.logEntries)
-	d.logEntries = append(d.logEntries, e)
+	kept := &d.logEntries[t.logIdx]
+	kept.Dynamic++
+	kept.ReaderCPUs |= cpuBit(t.id)
+	kept.WriterCPUs |= cpuBit(writer)
 }
 
 // ----- Skipper control-dependence stack -----
@@ -1476,11 +1475,11 @@ func (d *Detector) logTriple(e LogEntry) {
 // control-flow reconvergence point and push the branch's CU dependences.
 // Only forward, if-then(-else)-shaped branches are tracked; loop branches
 // (backward reconvergence) are ignored, exactly as Skipper does (§4.2).
-func (t *threadState) pushCtrl(ev *vm.Event) {
+func (t *threadState) pushCtrl(pc int64, in *isa.Instr) {
 	if t.d.opts.NoControlDeps {
 		return
 	}
-	target := ev.Instr.Imm
+	target := in.Imm
 	reconv := target
 	// Probe: when the instruction just before the branch target is a
 	// branch-always, the branch guards an if/else and control reconverges
@@ -1491,11 +1490,11 @@ func (t *threadState) pushCtrl(ev *vm.Event) {
 			reconv = prev.Imm
 		}
 	}
-	if reconv <= ev.PC {
+	if reconv <= pc {
 		return // loop-type control flow: not inferred
 	}
-	set := t.d.resolve(t.regs[ev.Instr.Rs1])
-	t.regs[ev.Instr.Rs1] = set
+	set := t.d.resolve(t.regs[in.Rs1])
+	t.regs[in.Rs1] = set
 	// Reuse the backing array of a previously popped entry at this stack
 	// slot, if any: branches are frequent and entries short-lived.
 	var cuSet []*cu

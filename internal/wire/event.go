@@ -193,6 +193,10 @@ type eventDecoder struct {
 	// flagClass holds one flag class per program PC: decodeFlags
 	// rebuilds each row's flags from it and the open bits.
 	flagClass []uint8
+
+	// memWords bounds every address decodeAddr accepts to
+	// [0, memWords); zero leaves addresses unchecked.
+	memWords int64
 }
 
 // Flag classes: which flag bits the opcode at a PC fixes and which it
@@ -483,9 +487,13 @@ func (d *eventDecoder) decodeFlags(p *payloadReader, pcs []int64, flags []uint8,
 
 // decodeAddr fills the Addr column: one zigzag delta per memory row,
 // read with one- and two-byte fast paths; other rows get address 0.
+// With a memory bound set (Deframer.SetMemWords), one OR-fold over the
+// loop proves every address is within it, as decodePC does for PCs.
 func (d *eventDecoder) decodeAddr(p *payloadReader, cpus []int32, flags []uint8, addrs []int64) error {
 	b, off := p.b, p.off
 	last := d.st.lastAddr
+	top := d.memWords - 1
+	var or int64
 	for i, fl := range flags {
 		if fl&(vm.FlagLoad|vm.FlagStore) == 0 {
 			addrs[i] = 0
@@ -512,7 +520,11 @@ func (d *eventDecoder) decodeAddr(p *payloadReader, cpus []int32, flags []uint8,
 		a := last[c] + unzigzag(u)
 		last[c] = a
 		addrs[i] = a
+		or |= a | (top - a)
 	}
 	p.off = off
+	if or < 0 && d.memWords > 0 {
+		return fmt.Errorf("%w: event address outside memory of %d words", ErrBadFrame, d.memWords)
+	}
 	return nil
 }

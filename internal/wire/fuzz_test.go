@@ -136,11 +136,11 @@ func eventsFrame(sections []section, raw ...byte) []byte {
 
 // malformedFrames builds one frame per malformation the column-major
 // payload can carry, each of which the decoder must reject with
-// ErrBadFrame — all but the last are Events frames over w's program,
-// decodable once SetProgram ran. The base row is one load by thread 0
-// at w's first load PC, address 8: count 1, one run, no Seq
-// exception, one PC exception, an open-bit plane of one clear bit, and
-// one address delta.
+// ErrBadFrame — all but the embedded-program Hello are Events frames
+// over w's program, decodable once SetProgram and SetMemWords
+// (memWordsOf) ran. The base row is one load by thread 0 at w's first
+// load PC, address 8: count 1, one run, no Seq exception, one PC
+// exception, an open-bit plane of one clear bit, and one address delta.
 func malformedFrames(tb testing.TB, w *workloads.Workload) []struct {
 	name  string
 	frame []byte
@@ -169,7 +169,18 @@ func malformedFrames(tb testing.TB, w *workloads.Workload) []struct {
 		{"taken bit on a load", eventsFrame([]section{one, run, noExc, pcExc, {1}}, 1, byte(addr))},
 		{"trailing bytes", eventsFrame([]section{one, run, noExc, pcExc, {1}}, 0, byte(addr), 0)},
 		{"embedded program without memory size", withoutMem.Bytes()},
+		{"address past memory", eventsFrame([]section{one, run, noExc, pcExc, {1}, {0}, {zigzag(memWordsOf(w))}})},
+		{"negative address", eventsFrame([]section{one, run, noExc, pcExc, {1}, {0}, {zigzag(-1)}})},
 	}
+}
+
+// memWordsOf is w's memory size as the server bounds a stream's
+// addresses by it: vm.DefaultMemWords when w leaves it 0.
+func memWordsOf(w *workloads.Workload) int64 {
+	if w.MemWords > 0 {
+		return w.MemWords
+	}
+	return vm.DefaultMemWords
 }
 
 // firstLoadPC is the PC of w's first load instruction.
@@ -194,6 +205,7 @@ func TestMalformedFramesRejected(t *testing.T) {
 	for _, m := range malformedFrames(t, w) {
 		d := NewDeframer(bytes.NewReader(m.frame))
 		d.SetProgram(w.Prog, 2)
+		d.SetMemWords(memWordsOf(w))
 		if _, err := d.ReadFrame(); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: got %v, want ErrBadFrame", m.name, err)
 		}
@@ -203,9 +215,52 @@ func TestMalformedFramesRejected(t *testing.T) {
 	good := eventsFrame([]section{{1}, {1, 0, 1}, {0}, {1, 1, zigzag(pcLoad)}, {1}}, 0, byte(zigzag(8)))
 	d := NewDeframer(bytes.NewReader(good))
 	d.SetProgram(w.Prog, 2)
+	d.SetMemWords(memWordsOf(w))
 	eb := vm.NewEventBatch(0)
 	if _, err := d.ReadFrameInto(eb); err != nil || eb.Len() != 1 || eb.Addr[0] != 8 || eb.Flags[0] != vm.FlagLoad || eb.PC[0] != pcLoad {
 		t.Fatalf("base row: %v, %+v", err, eb)
+	}
+}
+
+// TestDecodeBoundsAddresses: the memory bound is the decoder's. A row at
+// the last word decodes; one a word past it, or below zero, fails the
+// frame with ErrBadFrame; SetProgram lifts the bound until SetMemWords
+// sets it again.
+func TestDecodeBoundsAddresses(t *testing.T) {
+	w, err := workloads.ByName("queue-fixed", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := memWordsOf(w)
+	frame := func(addr int64) []byte {
+		return eventsFrame([]section{{1}, {1, 0, 1}, {0}, {1, 1, zigzag(firstLoadPC(t, w))}, {1}, {0}, {zigzag(addr)}})
+	}
+	decode := func(addr int64, bound bool) error {
+		d := NewDeframer(bytes.NewReader(frame(addr)))
+		d.SetMemWords(words) // SetProgram must lift it
+		d.SetProgram(w.Prog, 2)
+		if bound {
+			d.SetMemWords(words)
+		}
+		eb := vm.NewEventBatch(0)
+		_, err := d.ReadFrameInto(eb)
+		if err == nil && eb.Addr[0] != addr {
+			t.Fatalf("address %d decoded as %d", addr, eb.Addr[0])
+		}
+		return err
+	}
+	for _, addr := range []int64{0, words - 1} {
+		if err := decode(addr, true); err != nil {
+			t.Errorf("address %d within %d words: %v", addr, words, err)
+		}
+	}
+	for _, addr := range []int64{words, -1, 1 << 40} {
+		if err := decode(addr, true); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("address %d outside %d words: got %v, want ErrBadFrame", addr, words, err)
+		}
+		if err := decode(addr, false); err != nil {
+			t.Errorf("address %d without a bound: %v", addr, err)
+		}
 	}
 }
 
@@ -229,6 +284,7 @@ func FuzzDeframe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDeframer(bytes.NewReader(data))
 		d.SetProgram(prog, w.NumThreads)
+		d.SetMemWords(memWordsOf(w))
 		// A decoder over finite input must terminate: every iteration
 		// either consumes at least a header or errors out.
 		for i := 0; i <= len(data); i++ {
@@ -258,9 +314,9 @@ func FuzzDeframe(f *testing.F) {
 // the served ingest path) with arbitrary bytes. Beyond FuzzDeframe's
 // properties — termination, taxonomy-only errors, CPU/PC bounds — it
 // checks the batch's invariants whatever the input did: every column,
-// Blocks included, has the frame's row count, and every row's flags are
-// its opcode class's bits plus only the bits that class leaves open.
-// Its own seeds add columnar-specific malformations: frames truncated
+// Blocks included, has the frame's row count, every row's flags are
+// its opcode class's bits plus only the bits that class leaves open,
+// and every address lies within the memory bound. Its own seeds add columnar-specific malformations: frames truncated
 // inside a column section, and a count claiming more events than the
 // sections carry; the shared corpus follows.
 func FuzzDeframeColumns(f *testing.F) {
@@ -309,9 +365,11 @@ func FuzzDeframeColumns(f *testing.F) {
 
 	prog := w.Prog
 	mc := buildFlagClass(prog)
+	words := memWordsOf(w)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDeframer(bytes.NewReader(data))
 		d.SetProgram(prog, w.NumThreads)
+		d.SetMemWords(words)
 		eb := vm.NewEventBatch(0)
 		// A decoder over finite input must terminate: every iteration
 		// either consumes at least a header or errors out.
@@ -347,6 +405,9 @@ func FuzzDeframeColumns(f *testing.F) {
 				}
 				if eb.Blocks[i] != eb.Addr[i] {
 					t.Fatalf("row %d: block %d for address %d at shift 0", i, eb.Blocks[i], eb.Addr[i])
+				}
+				if eb.Addr[i] < 0 || eb.Addr[i] >= words {
+					t.Fatalf("row %d: address %d outside %d words", i, eb.Addr[i], words)
 				}
 			}
 		}

@@ -548,12 +548,22 @@ func NewDeframer(r io.Reader) *Deframer {
 
 // SetProgram installs the program event frames are validated against and
 // sizes per-thread decoder state. The server calls this after resolving
-// the Hello (registry lookup or embedded image).
+// the Hello (registry lookup or embedded image). It leaves addresses
+// unbounded until SetMemWords.
 func (d *Deframer) SetProgram(p *isa.Program, threads int) {
 	d.prog = p
 	d.dec.st = newCodecState(threads)
 	d.dec.flagClass = buildFlagClass(p)
+	d.dec.memWords = 0
 }
+
+// SetMemWords bounds the addresses event frames may carry to the
+// stream's memory, [0, words): a frame with any other address fails
+// with ErrBadFrame before a consumer sees it. The VM faults on such an
+// access, so only a forged stream carries one, and every distinct block
+// it named would grow the detectors' block tables. Call it after
+// SetProgram; words <= 0 removes the bound.
+func (d *Deframer) SetMemWords(words int64) { d.dec.memWords = max(words, 0) }
 
 // Prepend makes d read b before the rest of its input, bytes already
 // buffered from the underlying reader included. A cluster handoff
