@@ -21,7 +21,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster|TestDigest|TestReportMerged|TestReset|TestShardReusesDetectors|TestSprayedStreamNotRetained|TestReusedStoreGauges|TestHostileScaleRefused|TestClearKeepsPagesZeroed|TestWindowMatchesReference|TestVerdictGolden|TestColumnarContradictoryFlags|TestInterestDifferentialRegistry|TestCloneCarriesInterest|TestDecodeBoundsAddresses' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/ ./internal/blockstore/ ./internal/wire/
+	$(GO) test -race -run 'TestRunMany|TestArenaDifferential|TestInterestDifferential|TestReaderIndexDifferential|TestRunBatchedMatchesUnbatched|TestColumnarDifferential|TestBatchChopping|TestWitness|TestExamineDeterministic|TestRunDeterministic|TestMergeSamplesClones|TestMergeSamplesOrderInsensitive|TestLoopback|TestEngineMatchesInProcess|TestShedPolicy|TestShutdownDrains|TestSnapshotDuringIngest|TestShedVisibleInSnapshot|TestCluster|TestHistory|TestDigest|TestReportMerged|TestReset|TestShardReusesDetectors|TestSprayedStreamNotRetained|TestReusedStoreGauges|TestHostileScaleRefused|TestClearKeepsPagesZeroed|TestWindowMatchesReference|TestVerdictGolden|TestColumnarContradictoryFlags|TestInterestDifferentialRegistry|TestCloneCarriesInterest|TestDecodeBoundsAddresses' ./internal/report/ ./internal/svd/ ./internal/frd/ ./internal/obs/ ./internal/server/ ./internal/cluster/ ./internal/blockstore/ ./internal/wire/
 
 vet:
 	$(GO) vet ./...

@@ -91,24 +91,34 @@ func startClusterNode(t *testing.T, id string, view *cluster.View, copts Cluster
 // count, and a full batch — and requires the sample B publishes (and
 // relays back through A) to be byte-identical to the in-process run.
 // The net.Pipe rendezvous plus the engine's event odometer make the
-// boundary deterministic: frame 1 is fully ingested under the old view
-// before the new view lands, so the transferred history holds exactly
-// cut events.
+// boundary deterministic: the frames before the cut are fully ingested
+// under the old view before the new view lands, so the transferred
+// history holds exactly cut events. The late cut, on a longer
+// mysql-tables stream, ships a history of several chunks that ends
+// mid-chunk.
 func TestClusterHandoffDifferential(t *testing.T) {
-	const name = "queue-buggy"
-	const seed = uint64(9)
-	w, err := workloads.ByName(name, 1, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, m := collectEvents(t, w, seed)
-	if len(evs) <= vm.DefaultBatchCap {
-		t.Fatalf("workload too small to cut at the batch cap: %d events", len(evs))
-	}
-	want := inProcess(t, name, seed)
+	for _, c := range []struct {
+		name string
+		seed uint64
+		cut  int
+	}{
+		{"queue-buggy", 9, 1},
+		{"queue-buggy", 9, 7},
+		{"queue-buggy", 9, vm.DefaultBatchCap},
+		{"mysql-tables", 2, 200_000},
+	} {
+		t.Run(fmt.Sprintf("cut=%d", c.cut), func(t *testing.T) {
+			name, seed, cut := c.name, c.seed, c.cut
+			w, err := workloads.ByName(name, 1, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs, m := collectEvents(t, w, seed)
+			if len(evs) <= cut {
+				t.Fatalf("workload too small to cut at %d: %d events", cut, len(evs))
+			}
+			want := inProcess(t, name, seed)
 
-	for _, cut := range []int{1, 7, vm.DefaultBatchCap} {
-		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
 			// Node B: the stream's eventual owner.
 			csB, lnB := startClusterNode(t, "nB",
 				cluster.NewView(1, []cluster.Member{{ID: "nB", Addr: "unused"}}), ClusterOptions{})
@@ -123,8 +133,9 @@ func TestClusterHandoffDifferential(t *testing.T) {
 			sessionDone := make(chan struct{})
 			go func() { csA.ServeConn(srv); close(sessionDone) }()
 
-			const key = "queue-buggy/9"
-			f := wire.NewFramer(cli, w.NumThreads)
+			key := fmt.Sprintf("%s/%d", name, seed)
+			var sent countingWriter
+			f := wire.NewFramer(io.MultiWriter(cli, &sent), w.NumThreads)
 			d := wire.NewDeframer(cli)
 			d.ExpectResults()
 			if err := f.WriteHello(wire.Hello{
@@ -133,12 +144,19 @@ func TestClusterHandoffDifferential(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			if err := writeRows(f, evs[:cut]); err != nil {
-				t.Fatal(err)
+			for i := 0; i < cut; i += vm.DefaultBatchCap {
+				if err := writeRows(f, evs[i:min(i+vm.DefaultBatchCap, cut)]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			// Frame 1 ingested locally under the old view, then move the
-			// key to B: the next frame crosses the ownership boundary.
-			waitFor(t, "frame 1 ingest", func() bool { return eA.Counters().Events >= uint64(cut) })
+			// The history is everything sent so far.
+			if hist := int(sent); cut > vm.DefaultBatchCap && (hist < 3*cluster.ChunkSize || hist%cluster.ChunkSize == 0) {
+				t.Fatalf("late cut ships %d bytes: want three chunks or more, ending mid-chunk", hist)
+			}
+			// The frames before the cut ingested locally under the old
+			// view, then move the key to B: the next frame crosses the
+			// ownership boundary.
+			waitFor(t, "pre-cut ingest", func() bool { return eA.Counters().Events >= uint64(cut) })
 			rtA.ApplyAssignment(cluster.NewView(2,
 				[]cluster.Member{{ID: "nB", Addr: lnB.Addr().String()}}).Assignment("test"))
 

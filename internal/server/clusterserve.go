@@ -209,13 +209,16 @@ func (cs *ClusterServer) ServeConn(conn net.Conn) {
 // has just been read from d. A keyed stream records its frame history
 // and re-checks ownership on every Events frame before it is journaled
 // and ingested; when the view has moved the key elsewhere, tryHandoff
-// ships the history and the session becomes a relay. A keyless stream
-// can never be handed off, so it records nothing.
+// ships the history and the session becomes a relay. The history's
+// chunks go back to the node's pool when the stream ends, however it
+// ends. A keyless stream can never be handed off, so it records
+// nothing.
 func (cs *ClusterServer) serveLocal(cw io.Writer, d *wire.Deframer, f *wire.Framer, hello wire.Hello) error {
 	if hello.Key == "" {
 		return cs.eng.serveStream(d, f, hello, "", nil)
 	}
 	hist := cluster.NewHistory(cs.historyLimit)
+	defer hist.Release()
 	hist.Append(d.RawFrame())
 	return cs.eng.serveStream(d, f, hello, hello.Key, func(st *Stream, eb *vm.EventBatch, hdr, payload []byte) (bool, error) {
 		if !hist.Sticky() && !cs.rt.Owns(hello.Key) {
@@ -239,8 +242,8 @@ func (cs *ClusterServer) serveLocal(cw io.Writer, d *wire.Deframer, f *wire.Fram
 // that answers with another cluster's token stays up, so re-checking
 // would dial it again on every frame: the stream is pinned here
 // instead, as forward pins a misrouted one. Once the Handoff frame is
-// written the transfer is committed: the local stream is released and
-// the session relays the live tail.
+// written the transfer is committed: the history and the local stream
+// are released and the session relays the live tail.
 func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Stream, hist *cluster.History, eb *vm.EventBatch, fhdr, fpayload []byte) (bool, error) {
 	owner, ok := cs.rt.Owner(st.key)
 	if !ok || owner.ID == cs.rt.Self() {
@@ -278,6 +281,7 @@ func (cs *ClusterServer) tryHandoff(cw io.Writer, live *wire.Deframer, st *Strea
 	// like a forwarded stream's relay, runs without a deadline.
 	defer peer.Close()
 	_ = peer.SetDeadline(time.Time{})
+	hist.Release()
 	cs.rt.NoteHandoffOut()
 	cs.rt.HandoffStarted()
 	defer cs.rt.HandoffDone()
@@ -400,17 +404,12 @@ func (cs *ClusterServer) receiveHandoff(cw io.Writer, d *wire.Deframer, f *wire.
 	return cs.serveLocal(cw, d, f, fr.Hello)
 }
 
-// writeRaw emits one raw frame (header then payload) to w.
+// writeRaw emits one raw frame to w in one Write. hdr and payload are
+// a Deframer's adjacent views of the frame (wire.Deframer.RawFrame), so
+// hdr extended over payload is the whole frame.
 func writeRaw(w io.Writer, hdr, payload []byte) error {
-	if _, err := w.Write(hdr); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := w.Write(hdr[:len(hdr)+len(payload)])
+	return err
 }
 
 // exchange dials peer m and runs the Assign exchange: send this node's

@@ -118,7 +118,7 @@ func (f *Framer) WriteColumns(eb *vm.EventBatch) error {
 			ps = append(ps, pair{uint64(c), 1})
 		}
 	}
-	b := f.buf[:0]
+	b := f.begin()
 	if f.timestamps {
 		b = binary.AppendUvarint(b, uint64(f.now()))
 	}
@@ -182,8 +182,7 @@ func (f *Framer) WriteColumns(eb *vm.EventBatch) error {
 			st.lastAddr[c] = addrs[i]
 		}
 	}
-	f.buf = b
-	return f.writeFrame(FrameEvents, b)
+	return f.writeFrame(FrameEvents, b, nil)
 }
 
 type eventDecoder struct {

@@ -164,7 +164,7 @@ func TestTruncatedStampRejected(t *testing.T) {
 	}
 	// Hand-build an Events frame whose payload is a lone continuation
 	// byte: a uvarint that never terminates.
-	if err := f.writeFrame(FrameEvents, []byte{0x80}); err != nil {
+	if err := f.writeFrame(FrameEvents, append(f.begin(), 0x80), nil); err != nil {
 		t.Fatal(err)
 	}
 	d := NewDeframer(&buf)

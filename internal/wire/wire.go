@@ -317,22 +317,35 @@ func (f *Framer) Reset(threads int) {
 	f.enc.st = newCodecState(threads)
 }
 
-// writeFrame emits one frame with the given payload.
-func (f *Framer) writeFrame(t FrameType, payload []byte) error {
-	if len(payload) > maxPayload(t) {
-		return fmt.Errorf("%w: %d bytes of %s", ErrFrameTooLarge, len(payload), t)
+// frameHeader is a frame's fixed header: magic, type, payload length.
+const frameHeader = 9
+
+// begin empties the framer's buffer down to a header slot, which
+// writeFrame fills in once the payload has been appended after it, so
+// every frame leaves in one Write without a header of its own.
+func (f *Framer) begin() []byte {
+	return append(append(f.buf[:0], Magic[:]...), 0, 0, 0, 0, 0)
+}
+
+// writeFrame fills in the header slot at the front of b (from begin)
+// and writes the frame, keeping b as the framer's buffer. tail, when
+// non-empty, is the rest of the payload, written after b in a second
+// call: a handoff's history, too large to copy behind the fixed fields.
+func (f *Framer) writeFrame(t FrameType, b, tail []byte) error {
+	f.buf = b
+	n := len(b) - frameHeader + len(tail)
+	if n > maxPayload(t) {
+		return fmt.Errorf("%w: %d bytes of %s", ErrFrameTooLarge, n, t)
 	}
-	hdr := make([]byte, 0, 9)
-	hdr = append(hdr, Magic[:]...)
-	hdr = append(hdr, byte(t))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(payload)))
-	if _, err := f.w.Write(hdr); err != nil {
+	b[4] = byte(t)
+	binary.LittleEndian.PutUint32(b[5:frameHeader], uint32(n))
+	if _, err := f.w.Write(b); err != nil {
 		return err
 	}
-	if len(payload) == 0 {
+	if len(tail) == 0 {
 		return nil
 	}
-	_, err := f.w.Write(payload)
+	_, err := f.w.Write(tail)
 	return err
 }
 
@@ -342,13 +355,12 @@ func (f *Framer) WriteHello(h Hello) error {
 	if len(h.Key) > MaxKeyLen {
 		return fmt.Errorf("%w: routing key is %d bytes (max %d)", ErrBadFrame, len(h.Key), MaxKeyLen)
 	}
-	f.buf = f.buf[:0]
-	b := bytes.NewBuffer(f.buf)
-	putUvarint(b, uint64(h.Version))
-	putUvarint(b, uint64(h.Threads))
-	putString(b, h.Workload)
-	putUvarint(b, uint64(h.Scale))
-	putUvarint(b, h.Seed)
+	b := f.begin()
+	b = binary.AppendUvarint(b, uint64(h.Version))
+	b = binary.AppendUvarint(b, uint64(h.Threads))
+	b = appendString(b, h.Workload)
+	b = binary.AppendUvarint(b, uint64(h.Scale))
+	b = binary.AppendUvarint(b, h.Seed)
 	flags := byte(0)
 	if h.Witness {
 		flags |= 1
@@ -365,85 +377,72 @@ func (f *Framer) WriteHello(h Hello) error {
 	if h.Hops > 0 {
 		flags |= 16
 	}
-	b.WriteByte(flags)
+	b = append(b, flags)
 	if h.Key != "" {
-		putString(b, h.Key)
+		b = appendString(b, h.Key)
 	}
 	if h.Hops > 0 {
-		putUvarint(b, uint64(h.Hops))
+		b = binary.AppendUvarint(b, uint64(h.Hops))
 	}
 	if h.Program != nil {
 		var img bytes.Buffer
 		if err := isa.WriteProgram(&img, h.Program); err != nil {
 			return fmt.Errorf("wire: encode program: %w", err)
 		}
-		putUvarint(b, uint64(h.MemWords))
-		putUvarint(b, uint64(img.Len()))
-		b.Write(img.Bytes())
+		b = binary.AppendUvarint(b, uint64(h.MemWords))
+		b = binary.AppendUvarint(b, uint64(img.Len()))
+		b = append(b, img.Bytes()...)
 	}
-	f.buf = b.Bytes()
 	f.Reset(h.Threads)
 	f.timestamps = h.Timestamps
-	return f.writeFrame(FrameHello, f.buf)
+	return f.writeFrame(FrameHello, b, nil)
 }
 
 // WriteGoodbye emits the end-of-stream frame.
-func (f *Framer) WriteGoodbye() error { return f.writeFrame(FrameGoodbye, nil) }
+func (f *Framer) WriteGoodbye() error { return f.writeFrame(FrameGoodbye, f.begin(), nil) }
 
 // WriteResult emits a result frame. The latency digest rides as a
 // trailing optional section, emitted only when present.
 func (f *Framer) WriteResult(r Result) error {
-	f.buf = f.buf[:0]
-	b := bytes.NewBuffer(f.buf)
-	putString(b, r.Err)
-	putUvarint(b, uint64(len(r.Sample)))
-	b.Write(r.Sample)
+	b := appendString(f.begin(), r.Err)
+	b = binary.AppendUvarint(b, uint64(len(r.Sample)))
+	b = append(b, r.Sample...)
 	if len(r.Latency) > 0 {
-		putUvarint(b, uint64(len(r.Latency)))
-		b.Write(r.Latency)
+		b = binary.AppendUvarint(b, uint64(len(r.Latency)))
+		b = append(b, r.Latency...)
 	}
-	f.buf = b.Bytes()
-	return f.writeFrame(FrameResult, f.buf)
+	return f.writeFrame(FrameResult, b, nil)
 }
 
 // WriteError emits a terminal error frame.
 func (f *Framer) WriteError(msg string) error {
-	f.buf = f.buf[:0]
-	b := bytes.NewBuffer(f.buf)
-	putString(b, msg)
-	f.buf = b.Bytes()
-	return f.writeFrame(FrameError, f.buf)
+	return f.writeFrame(FrameError, appendString(f.begin(), msg), nil)
 }
 
 // WriteAssign emits a cluster membership view, node to node.
 func (f *Framer) WriteAssign(a Assignment) error {
-	f.buf = f.buf[:0]
-	b := bytes.NewBuffer(f.buf)
-	putUvarint(b, a.Epoch)
-	putUvarint(b, a.RingVersion)
-	putString(b, a.Origin)
-	putString(b, a.Token)
-	putUvarint(b, uint64(len(a.Nodes)))
+	b := binary.AppendUvarint(f.begin(), a.Epoch)
+	b = binary.AppendUvarint(b, a.RingVersion)
+	b = appendString(b, a.Origin)
+	b = appendString(b, a.Token)
+	b = binary.AppendUvarint(b, uint64(len(a.Nodes)))
 	for _, n := range a.Nodes {
-		putString(b, n.ID)
-		putString(b, n.Addr)
-		putString(b, n.HTTPAddr)
+		b = appendString(b, n.ID)
+		b = appendString(b, n.Addr)
+		b = appendString(b, n.HTTPAddr)
 	}
-	f.buf = b.Bytes()
-	return f.writeFrame(FrameAssign, f.buf)
+	return f.writeFrame(FrameAssign, b, nil)
 }
 
-// WriteHandoff emits a drained-stream transfer, node to node.
+// WriteHandoff emits a drained-stream transfer, node to node. The
+// history is written as it is, after the fixed fields, never copied
+// into the framer's buffer.
 func (f *Framer) WriteHandoff(h Handoff) error {
-	f.buf = f.buf[:0]
-	b := bytes.NewBuffer(f.buf)
-	putString(b, h.Key)
-	putString(b, h.Origin)
-	putUvarint(b, h.Epoch)
-	putUvarint(b, uint64(len(h.History)))
-	b.Write(h.History)
-	f.buf = b.Bytes()
-	return f.writeFrame(FrameHandoff, f.buf)
+	b := appendString(f.begin(), h.Key)
+	b = appendString(b, h.Origin)
+	b = binary.AppendUvarint(b, h.Epoch)
+	b = binary.AppendUvarint(b, uint64(len(h.History)))
+	return f.writeFrame(FrameHandoff, b, h.History)
 }
 
 // Frame is one decoded frame. Exactly one payload field is meaningful,
@@ -467,8 +466,9 @@ type Frame struct {
 type Deframer struct {
 	src     io.Reader // what r buffers; Prepend chains bytes in front
 	r       *bufio.Reader
-	hdr     [9]byte
-	payload []byte
+	hdr     [frameHeader]byte
+	frame   []byte // the last frame read, header then payload
+	payload []byte // frame's payload
 	dec     eventDecoder
 	batch   vm.EventBatch // ReadFrame's decode target for Events frames
 
@@ -514,13 +514,15 @@ func (d *Deframer) LastFrameBytes() int { return d.lastFrameBytes }
 // header and payload, exactly as they arrived on the wire. The journal
 // uses this to persist ingested frames without re-encoding: header and
 // payload concatenated are the frame, and concatenated frames are a
-// valid stream. Both views are owned by the Deframer and valid only
-// until the next read.
+// valid stream. The two views are adjacent in one buffer, so
+// hdr[:len(hdr)+len(payload)] is the whole frame, which a relay writes
+// in one call. Both are owned by the Deframer and valid only until the
+// next read.
 func (d *Deframer) RawFrame() (hdr, payload []byte) {
-	if d.lastFrameBytes == 0 {
+	if len(d.frame) < frameHeader {
 		return nil, nil
 	}
-	return d.hdr[:], d.payload[:d.lastFrameBytes-len(d.hdr)]
+	return d.frame[:frameHeader], d.frame[frameHeader:]
 }
 
 // ExpectResults permits Result frames up to MaxResultPayload. Call it
@@ -578,7 +580,8 @@ func (d *Deframer) Prepend(b []byte) {
 	d.r.Reset(d.src)
 }
 
-// readPayload reads the next frame header and payload into d.payload.
+// readPayload reads the next frame into d.frame, header then payload,
+// and points d.payload at the payload.
 func (d *Deframer) readPayload() (FrameType, error) {
 	if _, err := io.ReadFull(d.r, d.hdr[:]); err != nil {
 		if err == io.EOF {
@@ -601,14 +604,17 @@ func (d *Deframer) readPayload() (FrameType, error) {
 	if int64(n) > int64(limit) {
 		return 0, fmt.Errorf("%w: %s frame declares %d bytes", ErrFrameTooLarge, t, n)
 	}
-	if cap(d.payload) < int(n) {
-		d.payload = make([]byte, n)
+	size := frameHeader + int(n)
+	if cap(d.frame) < size {
+		d.frame = make([]byte, size)
 	}
-	d.payload = d.payload[:n]
+	d.frame = d.frame[:size]
+	copy(d.frame, d.hdr[:])
+	d.payload = d.frame[frameHeader:]
 	if _, err := io.ReadFull(d.r, d.payload); err != nil {
 		return 0, fmt.Errorf("%w: %s payload: %v", ErrTruncated, t, err)
 	}
-	d.lastFrameBytes = len(d.hdr) + int(n)
+	d.lastFrameBytes = size
 	return t, nil
 }
 
@@ -666,14 +672,16 @@ func (d *Deframer) ReadFrameInto(eb *vm.EventBatch) (Frame, error) {
 // relay path's primitive. A node forwarding a misrouted stream does not
 // hold the program and never needs the events — it validates framing
 // (magic, caps) and copies bytes to the owner. The returned views obey
-// the RawFrame contract: owned by the Deframer, valid until the next
-// read; header and payload concatenated are the frame as it arrived.
+// the RawFrame contract: adjacent, owned by the Deframer, valid until
+// the next read; header and payload concatenated are the frame as it
+// arrived.
 func (d *Deframer) ReadRawFrame() (FrameType, []byte, []byte, error) {
 	t, err := d.readPayload()
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	return t, d.hdr[:], d.payload, nil
+	hdr, payload := d.RawFrame()
+	return t, hdr, payload, nil
 }
 
 // decodeControl decodes the non-Events frame in d.payload.
@@ -723,6 +731,9 @@ func (d *Deframer) decodeControl(t FrameType) (Frame, error) {
 		if err != nil {
 			return Frame{}, err
 		}
+		// The history is a view of the frame buffer, which the caller
+		// now owns: the next frame is read into a fresh one.
+		d.frame, d.payload = nil, nil
 		return Frame{Type: FrameHandoff, Handoff: h}, nil
 	default:
 		return Frame{}, fmt.Errorf("%w: unknown frame type %d", ErrBadFrame, byte(t))
@@ -870,9 +881,9 @@ func decodeAssign(payload []byte) (Assignment, error) {
 	return a, nil
 }
 
-// decodeHandoff parses a Handoff payload. History is copied out of the
-// deframer's buffer: the receiver replays it asynchronously, past the
-// next frame read.
+// decodeHandoff parses a Handoff payload. History is a view of payload,
+// not a copy: the receiver replays it past the next frame read, so the
+// deframer gives the payload's buffer up with it.
 func decodeHandoff(payload []byte) (Handoff, error) {
 	p := payloadReader{b: payload}
 	var h Handoff
@@ -887,7 +898,7 @@ func decodeHandoff(payload []byte) (Handoff, error) {
 	if p.rest() != 0 {
 		return Handoff{}, fmt.Errorf("%w: %d trailing bytes after handoff", ErrBadFrame, p.rest())
 	}
-	h.History = append([]byte(nil), hist...)
+	h.History = hist
 	return h, nil
 }
 
@@ -961,12 +972,7 @@ func (p *payloadReader) str() string {
 
 func (p *payloadReader) rest() int { return len(p.b) - p.off }
 
-func putUvarint(b *bytes.Buffer, v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	b.Write(tmp[:binary.PutUvarint(tmp[:], v)])
-}
-
-func putString(b *bytes.Buffer, s string) {
-	putUvarint(b, uint64(len(s)))
-	b.WriteString(s)
+// appendString appends s with its uvarint length prefix.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }

@@ -466,3 +466,117 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	*c += countingWriter(len(p))
 	return len(p), nil
 }
+
+// callWriter keeps what each Write call carried, as its own slice.
+type callWriter struct{ calls [][]byte }
+
+func (c *callWriter) Write(p []byte) (int, error) {
+	c.calls = append(c.calls, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestFramerOneWritePerFrame: every frame a Framer emits leaves in one
+// Write call (on TCP, one syscall), the header built in place rather
+// than allocated; a handoff adds exactly one more call, its history,
+// passed through uncopied. A Deframer hands the same frames back as
+// adjacent header and payload views, so a relay forwards each in one
+// call too. Steady-state Events and Result frames allocate nothing.
+func TestFramerOneWritePerFrame(t *testing.T) {
+	w, err := workloads.ByName("queue-fixed", 1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := w.NewVM(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batches []*vm.EventBatch
+	m.AttachColumns(vm.ColumnFunc(func(eb *vm.EventBatch) {
+		c := vm.NewEventBatch(eb.Len())
+		for i := 0; i < eb.Len(); i++ {
+			c.AppendRaw(eb.Seq[i], eb.CPU[i], eb.PC[i], eb.Flags[i], eb.Addr[i])
+		}
+		batches = append(batches, c)
+	}))
+	if _, err := m.Run(2048); err != nil {
+		t.Fatal(err)
+	}
+	res := Result{Sample: bytes.Repeat([]byte("s"), 3000), Latency: []byte(`{"p50":1}`)}
+
+	var cw callWriter
+	f := NewFramer(&cw, w.NumThreads)
+	writes := []func() error{
+		func() error {
+			return f.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Workload: w.Name, Scale: 1, Seed: 3, Timestamps: true, Key: "q/3"})
+		},
+		func() error { return f.WriteColumns(batches[0]) },
+		func() error { return f.WriteColumns(batches[1]) },
+		f.WriteGoodbye,
+		func() error { return f.WriteResult(res) },
+		func() error { return f.WriteError("overloaded") },
+		func() error {
+			return f.WriteAssign(Assignment{Epoch: 2, Origin: "n1", Nodes: []NodeInfo{{ID: "n1", Addr: "a:1"}}})
+		},
+	}
+	for i, write := range writes {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		if len(cw.calls) != i+1 {
+			t.Fatalf("frame %d took %d writes in all, want %d", i, len(cw.calls), i+1)
+		}
+		c := cw.calls[i]
+		if len(c) < 9 || [4]byte(c[:4]) != Magic || int(binary.LittleEndian.Uint32(c[5:9])) != len(c)-9 {
+			t.Fatalf("write %d is not one whole frame: % x", i, c[:min(len(c), 9)])
+		}
+	}
+
+	var stream []byte
+	for _, c := range cw.calls {
+		stream = append(stream, c...)
+	}
+	d := NewDeframer(bytes.NewReader(stream))
+	for i := range cw.calls {
+		_, hdr, payload, err := d.ReadRawFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(payload) > 0 && &hdr[:len(hdr)+1][len(hdr)] != &payload[0] {
+			t.Fatalf("frame %d: header and payload views are not adjacent", i)
+		}
+		if !bytes.Equal(hdr[:len(hdr)+len(payload)], cw.calls[i]) {
+			t.Fatalf("frame %d: raw frame differs from what was written", i)
+		}
+	}
+
+	hist := bytes.Repeat([]byte("h"), 5000)
+	var hw callWriter
+	if err := NewFramer(&hw, 1).WriteHandoff(Handoff{Key: "q/3", Origin: "n1", Epoch: 2, History: hist}); err != nil {
+		t.Fatal(err)
+	}
+	if len(hw.calls) != 2 || !bytes.Equal(hw.calls[1], hist) {
+		t.Fatalf("handoff took %d writes, want the fixed fields then the history", len(hw.calls))
+	}
+
+	var sink countingWriter
+	f = NewFramer(&sink, w.NumThreads)
+	if err := f.WriteHello(Hello{Version: Version, Threads: w.NumThreads, Workload: w.Name, Timestamps: true}); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(50, func() {
+		if err := f.WriteColumns(batches[i%len(batches)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("WriteColumns: %.1f allocs per frame, want 0", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if err := f.WriteResult(res); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteResult: %.1f allocs per frame, want 0", n)
+	}
+}
