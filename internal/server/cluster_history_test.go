@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -165,7 +166,7 @@ func TestClusterConcurrentHandoffs(t *testing.T) {
 		cuts += uint64(s.cut)
 	}
 
-	var atCut, done sync.WaitGroup
+	var atCut, done, sessions sync.WaitGroup
 	viewMoved := make(chan struct{})
 	moveView := sync.OnceFunc(func() { close(viewMoved) })
 	defer moveView() // a failed wait below must not strand the streams
@@ -177,7 +178,8 @@ func TestClusterConcurrentHandoffs(t *testing.T) {
 		evs, m := collectEvents(t, w, s.seed)
 		want := inProcess(t, s.name, s.seed)
 		cli, srv := net.Pipe()
-		go csA.ServeConn(srv)
+		sessions.Add(1)
+		go func() { defer sessions.Done(); csA.ServeConn(srv) }()
 		atCut.Add(1)
 		done.Add(1)
 		go func() {
@@ -239,6 +241,9 @@ func TestClusterConcurrentHandoffs(t *testing.T) {
 	rtA.ApplyAssignment(moved.Assignment("test"))
 	moveView()
 	done.Wait()
+	// A handed-off session counts its handoff done only once the relayed
+	// Result has reached the client, so wait for the origin's sessions.
+	sessions.Wait()
 
 	waitFor(t, "owner handoffs settled", func() bool { return csB.Router().Snapshot().HandoffsInFlight == 0 })
 	if s := rtA.Snapshot(); s.HandoffsOut != 2 || s.HandoffsInFlight != 0 {
@@ -317,17 +322,26 @@ func TestClusterHistoryAllocs(t *testing.T) {
 	serve() // warm: detectors, codec state, pooled chunks
 	serve()
 
-	const streams = 4
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < streams; i++ {
-		serve()
+	// TotalAlloc counts the whole process, so anything else still running
+	// in it (another test's goroutines winding down) can only add to a
+	// round, and two collections between streams empty the pool. The
+	// node's own cost is the least of a few rounds; an append-grown
+	// history fails every one.
+	const streams, rounds = 4, 3
+	perStream := uint64(math.MaxUint64)
+	for r := 0; r < rounds && perStream >= uint64(history); r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for i := 0; i < streams; i++ {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		n := (after.TotalAlloc - before.TotalAlloc) / streams
+		t.Logf("round %d, %d-byte history: %d bytes allocated per stream (%.2f of the history) in %v, %d GCs", r, history, n,
+			float64(n)/float64(history), time.Since(start)/streams, after.NumGC-before.NumGC)
+		perStream = min(perStream, n)
 	}
-	runtime.ReadMemStats(&after)
-	perStream := (after.TotalAlloc - before.TotalAlloc) / streams
-	t.Logf("%d-byte history: %d bytes allocated per stream (%.2f of the history) in %v", history, perStream,
-		float64(perStream)/float64(history), time.Since(start)/streams)
 	if perStream >= uint64(history) {
 		t.Errorf("a warm cluster node allocated %d bytes per stream, at least the %d-byte history it records", perStream, history)
 	}
